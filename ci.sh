@@ -35,6 +35,12 @@ echo "== serve loopback suite (MALY_PLAN=0, planner disabled)"
 # second time with cross-request fusion switched off.
 MALY_OBS=1 MALY_PLAN=0 cargo test -q -p maly-serve --test loopback
 
+echo "== end-to-end benchmark smoke tests (perfbench)"
+# The benchmark is its own cargo workspace; its smoke tests include the
+# fig8_map serial-vs-ambient bit-identity check, the one remaining
+# consumer of the contour march outside the unit tests.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== trace-check (serve protocol trace via query --file)"
 mkdir -p target
 cat > target/ci_requests.jsonl <<'REQ'

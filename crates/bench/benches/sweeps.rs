@@ -13,9 +13,8 @@ use std::hint::black_box;
 use maly_bench::harness::{
     bench_pair, group, record_counter, record_per_eval, record_speedup, write_json_if_requested,
 };
-use maly_cost_model::adaptive::{AdaptiveConfig, AdaptiveSurface, DEFAULT_TOL};
 use maly_cost_model::surface::{CostSurface, SurfaceParameters};
-use maly_cost_optim::contour::{extract_contours_adaptive_with, extract_contours_with};
+use maly_cost_optim::contour::extract_contours_with;
 use maly_cost_optim::partition::optimize_with;
 use maly_cost_optim::search::grid_min_with;
 use maly_par::Executor;
@@ -49,16 +48,6 @@ const FIG8_WINDOW_DENSE: ((f64, f64, usize), (f64, f64, usize)) =
 
 const CONTOUR_LEVELS: [f64; 5] = [3.0e-6, 1.0e-5, 3.0e-5, 1.0e-4, 3.0e-4];
 
-fn adaptive_surface(exec: &Executor, config: &AdaptiveConfig) -> AdaptiveSurface {
-    AdaptiveSurface::compute_with(
-        exec,
-        &SurfaceParameters::fig8(),
-        FIG8_WINDOW.0,
-        FIG8_WINDOW.1,
-        config,
-    )
-}
-
 fn bench_fig8_surface() {
     group("sweeps/fig8_surface");
     let serial_exec = Executor::serial();
@@ -68,29 +57,6 @@ fn bench_fig8_surface() {
         fig8_surface(&par_exec),
         "parallel surface must be bit-identical to serial"
     );
-    // Correctness before timing: tol = 0 must be bit-identical to the
-    // dense scan; the default tolerance must stay within tol of it with
-    // the same feasibility mask.
-    let dense = fig8_surface(&serial_exec);
-    let config = AdaptiveConfig::new(DEFAULT_TOL);
-    assert_eq!(
-        adaptive_surface(&serial_exec, &AdaptiveConfig::exact()).surface(),
-        &dense,
-        "tol = 0 adaptive surface must be bit-identical to dense"
-    );
-    let approx = adaptive_surface(&serial_exec, &config);
-    for (dr, ar) in dense.values().iter().zip(approx.surface().values()) {
-        for (dv, av) in dr.iter().zip(ar) {
-            match (dv, av) {
-                (Some(d), Some(a)) => assert!(
-                    (d - a).abs() / d.abs().max(f64::MIN_POSITIVE) <= DEFAULT_TOL,
-                    "adaptive surface strayed beyond tol"
-                ),
-                (None, None) => {}
-                _ => panic!("adaptive feasibility mask must match dense"),
-            }
-        }
-    }
     let (serial, parallel) = bench_pair(
         "surface_56x48/serial",
         || {
@@ -102,31 +68,9 @@ fn bench_fig8_surface() {
         },
     );
     record_speedup("surface_56x48", serial, parallel);
-    let (dense, adaptive) = bench_pair(
-        "surface_56x48/dense",
-        || {
-            black_box(fig8_surface(&serial_exec));
-        },
-        "surface_56x48/adaptive",
-        || {
-            black_box(adaptive_surface(&serial_exec, &config));
-        },
-    );
-    record_speedup("surface_56x48_dense_vs_adaptive", dense, adaptive);
-    let stats = approx.stats();
-    record_counter("surface_56x48/eq1_dense_evals", stats.grid_points as u64);
-    record_counter("surface_56x48/eq1_mesh_evals", stats.evaluated as u64);
-    record_counter(
-        "surface_56x48/eq1_exact_zone_evals",
-        stats.analytic_exact as u64,
-    );
-    record_counter("surface_56x48/interpolated", stats.interpolated as u64);
-    record_per_eval("surface_56x48_dense", dense, stats.grid_points as u64);
-    record_per_eval(
-        "surface_56x48_adaptive_mesh",
-        adaptive,
-        stats.exact_points() as u64,
-    );
+    let points = (FIG8_WINDOW.0 .2 * FIG8_WINDOW.1 .2) as u64;
+    record_counter("surface_56x48/eq1_dense_evals", points);
+    record_per_eval("surface_56x48_dense", serial, points);
 
     // The 4×-denser window: big enough that the tuned executor leaves
     // the serial path even after the lane-kernel speedup, so this is
@@ -170,18 +114,6 @@ fn bench_contours() {
         extract_contours_with(&par_exec, &surface, &levels),
         "parallel contours must be bit-identical to serial"
     );
-    // Correctness before timing: masked marching at tol = 0 reproduces
-    // the dense contour segments exactly.
-    let exact = adaptive_surface(&serial_exec, &AdaptiveConfig::exact().with_levels(&levels));
-    assert_eq!(
-        extract_contours_adaptive_with(&serial_exec, &exact, &levels),
-        extract_contours_with(&serial_exec, &surface, &levels),
-        "adaptive contours at tol = 0 must match dense contours"
-    );
-    let adaptive = adaptive_surface(
-        &serial_exec,
-        &AdaptiveConfig::new(DEFAULT_TOL).with_levels(&levels),
-    );
     let (serial, parallel) = bench_pair(
         "contours_5_levels/serial",
         || {
@@ -193,31 +125,36 @@ fn bench_contours() {
         },
     );
     record_speedup("contours_5_levels", serial, parallel);
-    // Masked marching over the precomputed adaptive surface: same
-    // measurement shape as the dense rows above (surface excluded).
-    let (dense, masked) = bench_pair(
-        "contours_5_levels/dense",
-        || {
-            black_box(extract_contours_with(&serial_exec, &surface, &levels));
-        },
-        "contours_5_levels/adaptive",
-        || {
-            black_box(extract_contours_adaptive_with(
-                &serial_exec,
-                &adaptive,
-                &levels,
-            ));
-        },
-    );
-    record_speedup("contours_5_levels_dense_vs_adaptive", dense, masked);
-    record_counter(
-        "contours_5_levels/marchable_cells",
-        adaptive.exact_cell_count() as u64,
-    );
     record_counter(
         "contours_5_levels/total_cells",
         ((FIG8_WINDOW.0 .2 - 1) * (FIG8_WINDOW.1 .2 - 1)) as u64,
     );
+
+    // The allocation-free march keeps the 56×48 surface under the
+    // executor's serial cutoff, so the 4×-denser window is the contour
+    // record the multi-core speedup gate watches.
+    let dense_surface = CostSurface::compute_with(
+        &serial_exec,
+        &SurfaceParameters::fig8(),
+        FIG8_WINDOW_DENSE.0,
+        FIG8_WINDOW_DENSE.1,
+    );
+    assert_eq!(
+        extract_contours_with(&serial_exec, &dense_surface, &levels),
+        extract_contours_with(&par_exec, &dense_surface, &levels),
+        "parallel 112x96 contours must be bit-identical to serial"
+    );
+    let (serial, parallel) = bench_pair(
+        "contours_5_levels_112x96/serial",
+        || {
+            black_box(extract_contours_with(&serial_exec, &dense_surface, &levels));
+        },
+        "contours_5_levels_112x96/parallel",
+        || {
+            black_box(extract_contours_with(&par_exec, &dense_surface, &levels));
+        },
+    );
+    record_speedup("contours_5_levels_112x96", serial, parallel);
 }
 
 fn bench_partition_search() {
@@ -507,17 +444,14 @@ fn bench_obs_work() {
 
     group("obs/work");
     // Controlled serial workload on a clean slate: the snapshot must
-    // reflect exactly one adaptive surface and one MC study, not
+    // reflect exactly one dense surface and one MC study, not
     // whatever iteration counts the timed benches above calibrated to.
     // Only Work-kind counters land in the baseline — they are
     // thread-count-invariant and deterministic; Diag counters (par
     // scheduling, cache hit/miss) legitimately vary by machine.
     maly_obs::reset_metrics();
     let serial_exec = Executor::serial();
-    black_box(adaptive_surface(
-        &serial_exec,
-        &AdaptiveConfig::new(DEFAULT_TOL),
-    ));
+    black_box(fig8_surface(&serial_exec));
     let economics = FabEconomics::default();
     let demand = vec![
         (ProcessFlow::for_generation("cmos-0.8", 0.8), 20_000.0),

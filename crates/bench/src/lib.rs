@@ -19,7 +19,7 @@ pub mod harness {
     //!
     //! Auto-calibrates an iteration count per benchmark, takes several
     //! samples, and reports the median per-iteration latency. Paired
-    //! comparisons (serial vs parallel, dense vs adaptive) should use
+    //! comparisons (serial vs parallel, unfused vs fused) should use
     //! [`bench_pair`], which interleaves the two sides' samples so CPU
     //! throttle drift cannot fabricate a speedup or regression. Every
     //! result is also recorded in memory; when a bench binary is run

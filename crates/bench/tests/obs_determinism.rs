@@ -1,6 +1,6 @@
 //! Enforces the maly-obs determinism contract with observability ON:
 //!
-//! * golden outputs (adaptive surface, Monte Carlo report) stay
+//! * golden outputs (dense Fig 8 surface, Monte Carlo report) stay
 //!   bit-identical at 1 / 2 / 8 threads while spans and counters are
 //!   being collected;
 //! * Work-kind counter totals are thread-count-invariant — they count
@@ -11,8 +11,7 @@
 //! A single `#[test]` owns the whole sequence because the obs enabled
 //! flag, counter registry, and span list are process-global.
 
-use maly_cost_model::adaptive::{AdaptiveConfig, AdaptiveSurface, DEFAULT_TOL};
-use maly_cost_model::surface::SurfaceParameters;
+use maly_cost_model::surface::{CostSurface, SurfaceParameters};
 use maly_fabline_sim::cost::FabEconomics;
 use maly_fabline_sim::mc::{run_with, McConfig, McReport};
 use maly_fabline_sim::process::ProcessFlow;
@@ -21,17 +20,11 @@ use maly_par::Executor;
 
 const WINDOW: ((f64, f64, usize), (f64, f64, usize)) = ((0.4, 1.5, 32), (2.0e4, 4.0e6, 24));
 
-/// One traced run at a given thread count: adaptive surface + MC study.
-fn traced_run(threads: usize) -> (AdaptiveSurface, McReport, Vec<(&'static str, u64)>) {
+/// One traced run at a given thread count: dense surface + MC study.
+fn traced_run(threads: usize) -> (CostSurface, McReport, Vec<(&'static str, u64)>) {
     maly_obs::reset_metrics();
     let exec = Executor::with_threads(threads);
-    let surface = AdaptiveSurface::compute_with(
-        &exec,
-        &SurfaceParameters::fig8(),
-        WINDOW.0,
-        WINDOW.1,
-        &AdaptiveConfig::new(DEFAULT_TOL),
-    );
+    let surface = CostSurface::compute_with(&exec, &SurfaceParameters::fig8(), WINDOW.0, WINDOW.1);
     let economics = FabEconomics::default();
     let demand = vec![
         (ProcessFlow::for_generation("cmos-0.8", 0.8), 20_000.0),
@@ -65,21 +58,12 @@ fn traced_runs_are_bit_identical_across_thread_counts() {
     assert!(
         work_1
             .iter()
-            .any(|(name, v)| name.starts_with("adaptive.") && *v > 0),
-        "expected adaptive work counters in {work_1:?}"
+            .any(|(name, v)| *name == "eq1.cells" && *v > 0),
+        "expected eq1.cells work in {work_1:?}"
     );
     for threads in [2usize, 8] {
         let (surface_t, report_t, work_t) = traced_run(threads);
-        assert_eq!(
-            surface_1.surface(),
-            surface_t.surface(),
-            "surface differs at {threads} threads"
-        );
-        assert_eq!(
-            surface_1.stats(),
-            surface_t.stats(),
-            "adaptive stats differ at {threads} threads"
-        );
+        assert_eq!(surface_1, surface_t, "surface differs at {threads} threads");
         assert_eq!(report_1, report_t, "MC report differs at {threads} threads");
         assert_eq!(
             work_1, work_t,

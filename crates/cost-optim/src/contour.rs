@@ -1,15 +1,15 @@
 //! Marching-squares contour extraction (Fig 8's constant-cost curves).
 
-use maly_cost_model::adaptive::AdaptiveSurface;
 use maly_cost_model::surface::CostSurface;
 use maly_par::Executor;
 
-/// Estimated serial cost of marching one grid cell (classify + at most
-/// two edge interpolations), used to tune the executor: the PR-2
-/// baseline showed parallel contour extraction *losing* to serial on
-/// small surfaces because thread spawn overhead exceeded the whole
-/// march.
-const MARCH_CELL_HINT_NS: f64 = 40.0;
+/// Estimated serial cost of marching one grid cell per level (classify
+/// + at most two edge interpolations, no allocation), used to tune the
+/// executor. The `contours_5_levels/serial` bench (5 levels × 2585
+/// cells) reads 113–162 µs on a 2-vCPU container, 9–13 ns a cell.
+/// Overestimating it sends small surfaces through thread spawns that
+/// cost more than the whole march.
+const MARCH_CELL_HINT_NS: f64 = 10.0;
 
 /// A contour line: the level and the polyline points `(λ, N_tr)` tracing
 /// it (segments concatenated; may contain several disconnected runs).
@@ -35,6 +35,9 @@ impl ContourLine {
         self.segments.is_empty()
     }
 }
+
+/// One contour segment `((x0, y0), (x1, y1))` in axis coordinates.
+type Segment = ((f64, f64), (f64, f64));
 
 /// Extracts constant-cost contours from a cost surface at the given
 /// levels, via marching squares with linear interpolation. Cells with
@@ -86,109 +89,23 @@ pub fn extract_contours_with(
         if i >= rows {
             return segments;
         }
-        for j in 0..ys.len().saturating_sub(1) {
-            // Cell corners: (i,j), (i+1,j), (i+1,j+1), (i,j+1).
-            let corners = [
-                (xs[i], ys[j], values[i][j]),
-                (xs[i + 1], ys[j], values[i + 1][j]),
-                (xs[i + 1], ys[j + 1], values[i + 1][j + 1]),
-                (xs[i], ys[j + 1], values[i][j + 1]),
-            ];
-            let Some(vals) = corners
-                .iter()
-                .map(|(_, _, v)| *v)
-                .collect::<Option<Vec<f64>>>()
-            else {
-                continue;
-            };
-            segments.extend(march_cell(&corners, &vals, level));
-        }
-        segments
-    });
-
-    levels
-        .iter()
-        .zip(strips)
-        .map(|(&level, rows)| ContourLine {
-            level,
-            segments: rows.into_iter().flatten().collect(),
-        })
-        .collect()
-}
-
-/// Contour extraction over an adaptively computed surface: only cells in
-/// the surface's march mask ([`AdaptiveSurface::cell_is_exact`]) are
-/// visited. The mask covers every cell that can carry a segment of a
-/// protected level — cells with exact corners plus accepted cells whose
-/// values straddle a level — so for levels the surface was refined
-/// against, the result equals marching every cell of the same surface,
-/// at a fraction of the visits (see `exact_cell_count`).
-///
-/// # Panics
-///
-/// Panics if any requested level is not among the surface's
-/// [`AdaptiveSurface::protected_levels`] — marching an unprotected level
-/// against the mask could silently drop segments.
-#[must_use]
-pub fn extract_contours_adaptive(surface: &AdaptiveSurface, levels: &[f64]) -> Vec<ContourLine> {
-    extract_contours_adaptive_with(&Executor::from_env(), surface, levels)
-}
-
-/// [`extract_contours_adaptive`] on an explicit executor. Strips come
-/// back in `(level, row, column)` order — the same order as
-/// [`extract_contours_with`] — so segment lists are bit-identical to the
-/// serial pass at every thread count.
-///
-/// # Panics
-///
-/// As for [`extract_contours_adaptive`].
-#[must_use]
-pub fn extract_contours_adaptive_with(
-    exec: &Executor,
-    surface: &AdaptiveSurface,
-    levels: &[f64],
-) -> Vec<ContourLine> {
-    for level in levels {
-        assert!(
-            surface
-                .protected_levels()
-                .iter()
-                .any(|protected| protected == level),
-            "level {level} was not protected when the surface was computed"
-        );
-    }
-    let grid = surface.surface();
-    let xs = grid.lambda_axis();
-    let ys = grid.n_tr_axis();
-    let values = grid.values();
-    let rows = xs.len().saturating_sub(1);
-    let cell_cols = ys.len().saturating_sub(1);
-
-    let exec = exec.tuned_for(levels.len() * rows, cell_cols as f64 * MARCH_CELL_HINT_NS);
-    let strips = exec.grid(levels.len(), rows.max(1), |li, i| {
-        let level = levels[li];
-        let mut segments = Vec::new();
-        if i >= rows {
-            return segments;
-        }
         for j in 0..cell_cols {
-            if !surface.cell_is_exact(i, j) {
-                continue;
-            }
-            let corners = [
-                (xs[i], ys[j], values[i][j]),
-                (xs[i + 1], ys[j], values[i + 1][j]),
-                (xs[i + 1], ys[j + 1], values[i + 1][j + 1]),
-                (xs[i], ys[j + 1], values[i][j + 1]),
-            ];
-            let Some(vals) = corners
-                .iter()
-                .map(|(_, _, v)| *v)
-                .collect::<Option<Vec<f64>>>()
-            else {
+            // Cell corners: (i,j), (i+1,j), (i+1,j+1), (i,j+1).
+            let [Some(a), Some(b), Some(c), Some(d)] = [
+                values[i][j],
+                values[i + 1][j],
+                values[i + 1][j + 1],
+                values[i][j + 1],
+            ] else {
                 continue;
             };
-            segments.extend(march_cell(&corners, &vals, level));
+            let corners = [
+                (xs[i], ys[j]),
+                (xs[i + 1], ys[j]),
+                (xs[i + 1], ys[j + 1]),
+                (xs[i], ys[j + 1]),
+            ];
+            march_cell(&corners, &[a, b, c, d], level, &mut segments);
         }
         segments
     });
@@ -204,13 +121,9 @@ pub fn extract_contours_adaptive_with(
 }
 
 /// Marches one cell: finds level crossings on its four edges and pairs
-/// them into segments (standard 16-case table, ambiguous saddles split
-/// by the cell-average rule).
-fn march_cell(
-    corners: &[(f64, f64, Option<f64>); 4],
-    vals: &[f64],
-    level: f64,
-) -> Vec<((f64, f64), (f64, f64))> {
+/// them into segments appended to `out` (standard 16-case table,
+/// ambiguous saddles split by the cell-average rule).
+fn march_cell(corners: &[(f64, f64); 4], vals: &[f64; 4], level: f64, out: &mut Vec<Segment>) {
     let mut case = 0usize;
     for (bit, v) in vals.iter().enumerate() {
         if *v >= level {
@@ -218,13 +131,13 @@ fn march_cell(
         }
     }
     if case == 0 || case == 0b1111 {
-        return Vec::new();
+        return;
     }
 
     // Edge k joins corner k and corner (k+1)%4.
     let crossing = |k: usize| -> (f64, f64) {
-        let (x0, y0, _) = corners[k];
-        let (x1, y1, _) = corners[(k + 1) % 4];
+        let (x0, y0) = corners[k];
+        let (x1, y1) = corners[(k + 1) % 4];
         let v0 = vals[k];
         let v1 = vals[(k + 1) % 4];
         let t = if (v1 - v0).abs() < f64::EPSILON {
@@ -265,10 +178,7 @@ fn march_cell(
         _ => unreachable!("cases 0 and 15 early-returned"),
     };
 
-    edge_pairs
-        .iter()
-        .map(|&(a, b)| (crossing(a), crossing(b)))
-        .collect()
+    out.extend(edge_pairs.iter().map(|&(a, b)| (crossing(a), crossing(b))));
 }
 
 #[cfg(test)]
@@ -331,14 +241,10 @@ mod tests {
         // f(x,y) = x at level 0.5 must be the vertical line x = 0.5.
         // (Exercised through the public API on a cost surface is
         // impractical; the planar check uses march_cell directly.)
-        let corners = [
-            (0.0, 0.0, Some(0.0)),
-            (1.0, 0.0, Some(1.0)),
-            (1.0, 1.0, Some(1.0)),
-            (0.0, 1.0, Some(0.0)),
-        ];
+        let corners = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)];
         let vals = [0.0, 1.0, 1.0, 0.0];
-        let segs = march_cell(&corners, &vals, 0.5);
+        let mut segs = Vec::new();
+        march_cell(&corners, &vals, 0.5, &mut segs);
         assert_eq!(segs.len(), 1);
         let ((ax, _), (bx, _)) = segs[0];
         assert!((ax - 0.5).abs() < 1e-12);

@@ -5,11 +5,10 @@
 //! case pins its executor with `Executor::with_threads`, which is the
 //! same code path `from_env` configures.
 
-use maly_cost_model::adaptive::{AdaptiveConfig, AdaptiveSurface};
 use maly_cost_model::surface::{CostSurface, SurfaceParameters};
 use maly_cost_model::system::{ManufacturingContext, Partition, SystemDesign};
 use maly_cost_model::WaferCostModel;
-use maly_cost_optim::contour::{extract_contours_adaptive_with, extract_contours_with};
+use maly_cost_optim::contour::extract_contours_with;
 use maly_cost_optim::partition::optimize_with;
 use maly_cost_optim::search::{grid_min_with, optimal_feature_size_with};
 use maly_par::Executor;
@@ -64,45 +63,6 @@ fn contour_segments_are_bit_identical() {
         // Segment ORDER matters: the parallel pass must concatenate
         // row strips exactly as the serial double loop visits them.
         assert_eq!(serial, parallel, "threads = {threads}");
-    }
-}
-
-#[test]
-fn adaptive_tol_zero_golden_matches_dense_at_every_thread_count() {
-    // The tol = 0 degenerate path must be bit-identical to the dense
-    // scan whether the engine runs serial or tiled across threads.
-    let dense = fig8_surface(&Executor::with_threads(1));
-    for threads in THREAD_COUNTS {
-        let adaptive = AdaptiveSurface::compute_with(
-            &Executor::with_threads(threads),
-            &SurfaceParameters::fig8(),
-            (0.4, 1.5, 40),
-            (2.0e4, 4.0e6, 32),
-            &AdaptiveConfig::exact(),
-        );
-        assert_eq!(adaptive.surface(), &dense, "threads = {threads}");
-    }
-}
-
-#[test]
-fn adaptive_contours_at_tol_zero_match_dense_contours() {
-    // At tol = 0 every cell is in the march mask and every value is the
-    // dense value, so masked marching must reproduce the dense contour
-    // segments bit for bit — at every thread count.
-    let levels = [3.0e-6, 10.0e-6, 30.0e-6, 100.0e-6];
-    let dense = fig8_surface(&Executor::with_threads(1));
-    let reference = extract_contours_with(&Executor::with_threads(1), &dense, &levels);
-    for threads in THREAD_COUNTS {
-        let adaptive = AdaptiveSurface::compute_with(
-            &Executor::with_threads(threads),
-            &SurfaceParameters::fig8(),
-            (0.4, 1.5, 40),
-            (2.0e4, 4.0e6, 32),
-            &AdaptiveConfig::exact().with_levels(&levels),
-        );
-        let contours =
-            extract_contours_adaptive_with(&Executor::with_threads(threads), &adaptive, &levels);
-        assert_eq!(reference, contours, "threads = {threads}");
     }
 }
 

@@ -9,7 +9,7 @@
 //! re-exports it).
 //!
 //! On top of the static artifacts, [`EvalContext`] owns a bounded cache
-//! of *computed surface tiles* keyed by quantized query parameters:
+//! of *computed surface tiles* keyed by the exact query parameters:
 //! a repeated `surface_tile` query for the same window answers from
 //! memory without re-evaluating a single grid cell. The obs counters
 //! below make that claim checkable — the warm-cache integration test
@@ -108,31 +108,27 @@ pub fn shared() -> &'static SharedContext {
     })
 }
 
-/// Cache key for a computed surface tile. Axis endpoints are quantized
-/// (λ at 1 nλ, `N_tr` at a relative 2⁻³² grain) so two requests that
-/// differ only in float noise share an entry, while the step counts
-/// stay exact.
+/// Cache key for a computed surface tile: the exact bits of the four
+/// axis endpoints plus the step counts. Two requests share an entry
+/// only when they would compute the same tile, so a served answer never
+/// depends on which window an earlier request happened to warm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct TileKey {
-    lambda_min_nm: u64,
-    lambda_max_nm: u64,
-    n_tr_min_q: u64,
-    n_tr_max_q: u64,
+    lambda_min: u64,
+    lambda_max: u64,
+    n_tr_min: u64,
+    n_tr_max: u64,
     lambda_steps: usize,
     n_tr_steps: usize,
 }
 
 impl TileKey {
     pub(crate) fn new(lambda_range: (f64, f64, usize), n_tr_range: (f64, f64, usize)) -> Self {
-        // λ arrives in µm; 1e-3 µm = 1 nm grain. N_tr spans orders of
-        // magnitude, so quantize its log instead of its value.
-        let q_nm = |v: f64| (v * 1.0e3).round() as u64;
-        let q_log = |v: f64| (v.ln() * 1.0e6).round() as u64;
         Self {
-            lambda_min_nm: q_nm(lambda_range.0),
-            lambda_max_nm: q_nm(lambda_range.1),
-            n_tr_min_q: q_log(n_tr_range.0),
-            n_tr_max_q: q_log(n_tr_range.1),
+            lambda_min: lambda_range.0.to_bits(),
+            lambda_max: lambda_range.1.to_bits(),
+            n_tr_min: n_tr_range.0.to_bits(),
+            n_tr_max: n_tr_range.1.to_bits(),
             lambda_steps: lambda_range.2,
             n_tr_steps: n_tr_range.2,
         }
@@ -325,11 +321,47 @@ mod tests {
     }
 
     #[test]
-    fn tile_key_quantization_absorbs_float_noise() {
+    fn tile_keys_are_exact() {
         let a = TileKey::new((0.4, 1.5, 10), (2.0e4, 4.0e6, 8));
+        assert_eq!(a, TileKey::new((0.4, 1.5, 10), (2.0e4, 4.0e6, 8)));
         let b = TileKey::new((0.4 + 1e-9, 1.5 - 1e-9, 10), (2.0e4, 4.0e6, 8));
-        assert_eq!(a, b);
+        assert_ne!(a, b, "λ endpoints 1e-9 apart are distinct tiles");
+        let n = TileKey::new((0.4, 1.5, 10), (2.0e4 + 1e-9, 4.0e6, 8));
+        assert_ne!(a, n, "N_tr endpoints 1e-9 apart are distinct tiles");
         let c = TileKey::new((0.4, 1.5, 11), (2.0e4, 4.0e6, 8));
         assert_ne!(a, c, "step counts stay exact");
+    }
+
+    #[test]
+    fn warm_tiles_never_answer_a_nearby_window() {
+        use crate::query::{Query, QueryResponse};
+        let _guard = counter_test_lock();
+        // λ_min 0.4 nm apart: every answer must equal the fresh-context
+        // answer, whatever the context served before.
+        let tile = |lambda_min| Query::SurfaceTile {
+            lambda_min,
+            lambda_max: 1.2,
+            lambda_steps: 6,
+            n_tr_min: 1.0e5,
+            n_tr_max: 1.0e6,
+            n_tr_steps: 5,
+        };
+        let batch = [tile(0.5), tile(0.5004)];
+        let exec = Executor::serial();
+        let fresh: Vec<QueryResponse> = batch
+            .iter()
+            .map(|q| q.evaluate_with(&exec, &EvalContext::new()).unwrap())
+            .collect();
+        assert_ne!(fresh[0], fresh[1]);
+        let warm = EvalContext::new();
+        for (q, want) in batch.iter().zip(&fresh) {
+            assert_eq!(&q.evaluate_with(&exec, &warm).unwrap(), want, "unplanned");
+        }
+        for ctx in [&EvalContext::new(), &warm] {
+            let planned = crate::planner::evaluate(&exec, ctx, &batch);
+            for (got, want) in planned.into_iter().zip(&fresh) {
+                assert_eq!(&got.unwrap(), want, "planned");
+            }
+        }
     }
 }

@@ -8,11 +8,11 @@
 //! nodes across *all* queries fuse into one lane-batched eq. (1)
 //! dispatch, and byte-identical queries are answered once.
 //!
-//! Node keying matches the warm-tile cache grain exactly
-//! ([`crate::context`]'s quantized `TileKey`): two queries whose
-//! windows differ only by float noise share a node, just as they would
-//! share a cache entry on the unplanned path. Everything coarser — the
-//! per-cell `(λ, N_tr)` fusion inside a dispatch — is keyed on *bit
+//! Node keying matches the warm-tile cache key exactly
+//! ([`crate::context`]'s `TileKey`, the bits of the window's endpoints
+//! plus its step counts): two queries share a node only when they
+//! would share a cache entry on the unplanned path. The per-cell
+//! `(λ, N_tr)` fusion inside a dispatch is likewise keyed on *bit
 //! equality* of the axis values, so fusion can never change a single
 //! output bit.
 //!
@@ -57,11 +57,11 @@ pub static FUSED_DISPATCHES: maly_obs::Counter = maly_obs::Counter::work("plan.f
 /// re-evaluation (diagnostic: depends on request history).
 pub static DEDUPED_QUERIES: maly_obs::Counter = maly_obs::Counter::diag("plan.deduped_queries");
 
-/// One unique surface-tile grid node: the cache-grain key plus the
+/// One unique surface-tile grid node: the cache key plus the
 /// exact ranges that materialize it.
 #[derive(Debug, Clone)]
 pub(crate) struct TileNode {
-    /// Cache-grain identity (quantized endpoints, exact step counts).
+    /// Cache identity (endpoint bits and step counts).
     pub key: TileKey,
     /// `(λ min, λ max, steps)` of the first query requesting this node.
     pub lambda_range: (f64, f64, usize),
@@ -322,8 +322,8 @@ mod tests {
             tile(0.5),
             Query::Table3,
             tile(0.5),
-            // Float noise within the 1 nm key grain: distinct query
-            // text, same tile node.
+            // Float noise: distinct query text and a distinct tile
+            // node, since cache keys are exact.
             Query::SurfaceTile {
                 lambda_min: 0.5 + 1e-9,
                 lambda_max: 1.0,
@@ -338,12 +338,11 @@ mod tests {
         assert_eq!(plan.slots, vec![0, 1, 0, 2, 3]);
         assert_eq!(plan.unique.len(), 4);
         assert_eq!(plan.duplicate_queries(), 1);
-        assert_eq!(plan.tiles.len(), 2, "noise-duplicate shares a node");
+        assert_eq!(plan.tiles.len(), 3, "noise-shifted window is its own node");
         assert_eq!(plan.nodes_requested, 4 * 9 * 24 + 1);
-        // First-occurrence ranges win, matching a sequential shared-
-        // context evaluation where the first requester computes.
         assert_eq!(plan.tiles[0].lambda_range, (0.5, 1.0, 9));
-        assert_eq!(plan.tiles[1].lambda_range, (0.625, 1.125, 9));
+        assert_eq!(plan.tiles[1].lambda_range, (0.5 + 1e-9, 1.0, 9));
+        assert_eq!(plan.tiles[2].lambda_range, (0.625, 1.125, 9));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!    evaluation produces exactly the bytes a per-tile
 //!    `CostSurface::compute_with` would.
 //! 2. **First-occurrence representatives.** Dedup (of queries and of
-//!    tile nodes within the cache-key grain) keeps the first
+//!    tile nodes with equal cache keys) keeps the first
 //!    occurrence, matching what a sequential left-to-right evaluation
 //!    of the batch against a shared context would cache and reuse.
 //! 3. **Index-ordered scatter.** Unique queries run under the

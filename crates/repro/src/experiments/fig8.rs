@@ -1,6 +1,5 @@
 //! Fig 8 — constant-cost contours over `(λ × N_tr)`.
 
-use maly_cost_model::adaptive::{AdaptiveConfig, AdaptiveSurface, DEFAULT_TOL};
 use maly_cost_model::surface::{CostSurface, SurfaceParameters};
 use maly_cost_optim::contour::extract_contours;
 use maly_units::Microns;
@@ -76,16 +75,6 @@ pub fn report() -> ExperimentReport {
         .collect();
     let minima = count_local_minima(&slice);
 
-    // How much of the surface the adaptive engine skips at the default
-    // tolerance (same window as the dense surface above).
-    let adaptive = AdaptiveSurface::compute(
-        &params,
-        context::FIG8_LAMBDA_RANGE,
-        context::FIG8_N_TR_RANGE,
-        &AdaptiveConfig::new(DEFAULT_TOL),
-    );
-    let stats = adaptive.stats();
-
     // The serve-path analogue: a client sweeping this surface tile by
     // tile sends overlapping windows in one batch, and the evaluation
     // planner fuses their shared grid nodes into a single kernel
@@ -101,19 +90,8 @@ pub fn report() -> ExperimentReport {
          minima (the dies-per-wafer floor() injects ripples — the paper's \
          \"number of local optima\"). The optimum never sits at the \
          smallest λ: the `D/λ^p` defect acceleration forbids deep shrinks \
-         at this calibration.\n\n\
-         Adaptive evaluation at tol = {DEFAULT_TOL}: {} of {} grid points \
-         hold exact eq. (1) values ({} quadtree mesh + {} exact-zone \
-         batch), {} interpolated, {} deduced infeasible — a {:.1}× \
-         full-kernel saving over the dense scan.\n\n{plan_note}\n",
+         at this calibration.\n\n{plan_note}\n",
         table.render(),
-        stats.exact_points(),
-        stats.grid_points,
-        stats.evaluated,
-        stats.analytic_exact,
-        stats.interpolated,
-        stats.infeasible_deduced,
-        stats.savings(),
     );
     ExperimentReport {
         id: "fig8",
@@ -210,7 +188,6 @@ mod tests {
         let r = report();
         assert!(r.body.contains("λ^opt"));
         assert!(r.body.contains("local"));
-        assert!(r.body.contains("Adaptive evaluation"));
         assert!(r.body.contains("Batched tile queries"));
     }
 
