@@ -29,12 +29,6 @@ MALY_OBS=1 cargo test --workspace -q
 echo "== serve loopback suite (MALY_OBS=1, real sockets)"
 MALY_OBS=1 cargo test -q -p maly-serve --test loopback
 
-echo "== serve loopback suite (MALY_PLAN=0, planner disabled)"
-# The served bytes must not depend on whether batched queries go
-# through the evaluation planner, so the whole loopback suite runs a
-# second time with cross-request fusion switched off.
-MALY_OBS=1 MALY_PLAN=0 cargo test -q -p maly-serve --test loopback
-
 echo "== end-to-end benchmark smoke tests (perfbench)"
 # The benchmark is its own cargo workspace; its smoke tests include the
 # fig8_map serial-vs-ambient bit-identity check, the one remaining

@@ -311,24 +311,22 @@ fn bench_fused_batch() {
     }
     // Plan counters from one controlled run (fresh context, so every
     // tile is cold): deterministic, diffed exactly by bench-check.
-    if plan::enabled() {
-        let requested0 = plan::NODES_REQUESTED.value();
-        let evaluated0 = plan::NODES_EVALUATED.value();
-        let dispatches0 = plan::FUSED_DISPATCHES.value();
-        black_box(Query::evaluate_batch(&exec, &EvalContext::new(), &batch));
-        record_counter(
-            "batch_4tiles/plan_nodes_requested",
-            plan::NODES_REQUESTED.value() - requested0,
-        );
-        record_counter(
-            "batch_4tiles/plan_nodes_evaluated",
-            plan::NODES_EVALUATED.value() - evaluated0,
-        );
-        record_counter(
-            "batch_4tiles/plan_fused_dispatches",
-            plan::FUSED_DISPATCHES.value() - dispatches0,
-        );
-    }
+    let requested0 = plan::NODES_REQUESTED.value();
+    let evaluated0 = plan::NODES_EVALUATED.value();
+    let dispatches0 = plan::FUSED_DISPATCHES.value();
+    black_box(Query::evaluate_batch(&exec, &EvalContext::new(), &batch));
+    record_counter(
+        "batch_4tiles/plan_nodes_requested",
+        plan::NODES_REQUESTED.value() - requested0,
+    );
+    record_counter(
+        "batch_4tiles/plan_nodes_evaluated",
+        plan::NODES_EVALUATED.value() - evaluated0,
+    );
+    record_counter(
+        "batch_4tiles/plan_fused_dispatches",
+        plan::FUSED_DISPATCHES.value() - dispatches0,
+    );
     // Fresh context per iteration: this measures the cold-batch cost
     // the plan exists to cut, at one thread, so the ratio is pure work
     // elimination rather than scheduling.

@@ -54,8 +54,7 @@ Every command also accepts --trace-out FILE: enable maly-obs and write
 an ndjson trace (spans, counters, histograms) of the run to FILE.
 Batched queries (JSON-array lines, sweep, query --file) compile to an
 evaluation plan that dedups and fuses shared grid work across requests;
-set MALY_PLAN=0 to evaluate each query independently (bit-identical
-output either way).
+the output is bit-identical to evaluating each query on its own.
 All dollars are 1994 dollars; λ is the minimum feature size in µm."
         .to_string()
 }

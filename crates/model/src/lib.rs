@@ -7,7 +7,10 @@
 //!   the paper reproduction supports (Table 3 products, Scenario #1/#2
 //!   sweeps, Fig 8 surface tiles, optimal-λ searches, Monte Carlo yield
 //!   studies, the calendar roadmap, product-mix economics) as one typed
-//!   request/response enum with deterministic JSON round-trips.
+//!   request/response enum with deterministic JSON round-trips. The
+//!   wire codec and the planner's dedup key are generated from one
+//!   declarative table of variants and fields (the private `wire`
+//!   module holds its `Field` trait and macros).
 //! * [`context`] — the process-wide [`SharedContext`] of derived
 //!   artifacts (moved here from `maly-repro`) plus the [`EvalContext`]
 //!   surface-tile cache that makes warm repeat queries measurably
@@ -15,8 +18,8 @@
 //! * [`plan`] — the evaluation-plan IR behind [`Query::evaluate_batch`]:
 //!   a batch compiles to deduplicated queries plus unique grid nodes,
 //!   and cold surface-tile nodes across *all* requests fuse into one
-//!   lane-batched kernel dispatch (`MALY_PLAN=0` restores the direct
-//!   path; both are bit-identical by contract).
+//!   lane-batched kernel dispatch, bit-identical by contract to
+//!   evaluating each query on its own.
 //! * [`error`] — the consolidated [`Error`] type with `From` impls for
 //!   every subsystem failure, mapped to stable wire `kind` tags.
 //! * [`json`] — a std-only, deterministic, line-oriented JSON value
@@ -36,6 +39,7 @@ pub mod json;
 pub mod plan;
 pub(crate) mod planner;
 pub mod query;
+mod wire;
 
 pub use context::{shared, EvalContext, SharedContext, FIG8_LAMBDA_RANGE, FIG8_N_TR_RANGE};
 pub use error::Error;

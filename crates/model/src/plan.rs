@@ -16,32 +16,16 @@
 //! equality* of the axis values, so fusion can never change a single
 //! output bit.
 //!
-//! Planning is on by default; `MALY_PLAN=0` (or `false`) restores the
-//! direct per-query batch path. Both paths are bit-identical by
-//! contract, enforced by the `plan_fusion` property tests and the serve
-//! loopback suite running under both settings.
+//! Every batched entry point goes through the planner. The direct
+//! per-query path, `Query::evaluate_batch_unplanned`, remains only as
+//! the bit-identity reference for the `plan_fusion` property tests and
+//! the fused-batch bench.
 
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 use crate::context::TileKey;
-use crate::query::{ProductSpec, Query};
-
-/// Environment toggle for the batch planner: unset or any value other
-/// than `0`/`false`/empty enables planning.
-pub const PLAN_ENV_VAR: &str = "MALY_PLAN";
-
-/// Whether batch evaluation routes through the planner. Read once per
-/// process: the toggle exists for A/B runs and CI, not for flipping
-/// mid-flight.
-#[must_use]
-pub fn enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| match std::env::var(PLAN_ENV_VAR) {
-        Ok(v) => !(v == "0" || v.eq_ignore_ascii_case("false") || v.is_empty()),
-        Err(_) => true,
-    })
-}
+use crate::query::Query;
+use crate::wire::Key;
 
 /// Grid nodes a batch asked for, before dedup/fusion: every cell of
 /// every surface-tile query plus one node per non-tile query. Work
@@ -82,170 +66,9 @@ pub(crate) struct Plan {
     pub nodes_requested: u64,
 }
 
-/// A bit-exact query identity: variant tag, the product label when one
-/// exists, and every numeric field as raw bits. Strictly finer than
-/// (or equal to) wire-format identity — two queries sharing a key
-/// serialize to the same bytes, but building the key costs integer
-/// moves instead of float formatting, which matters because compile
-/// overhead is paid by every batch whether or not anything fuses.
-fn dedup_key(q: &Query) -> (u8, String, Vec<u64>) {
-    fn spec_bits(spec: &ProductSpec, bits: &mut Vec<u64>) {
-        bits.extend([
-            spec.transistors.to_bits(),
-            spec.lambda_um.to_bits(),
-            spec.density.to_bits(),
-            spec.radius_cm.to_bits(),
-            spec.yield0.to_bits(),
-            spec.c0.to_bits(),
-            spec.x.to_bits(),
-        ]);
-    }
-    let mut bits: Vec<u64> = Vec::with_capacity(10);
-    let mut name = String::new();
-    let tag = match q {
-        Query::Product(spec) => {
-            name.push_str(&spec.name);
-            spec_bits(spec, &mut bits);
-            0
-        }
-        Query::Table3Row { id } => {
-            bits.push(u64::from(*id));
-            1
-        }
-        Query::Table3 => 2,
-        Query::Scenario1Sweep {
-            x,
-            lambda_min,
-            lambda_max,
-            steps,
-        } => {
-            bits.extend([
-                x.to_bits(),
-                lambda_min.to_bits(),
-                lambda_max.to_bits(),
-                *steps as u64,
-            ]);
-            3
-        }
-        Query::Scenario2Sweep {
-            x,
-            lambda_min,
-            lambda_max,
-            steps,
-        } => {
-            bits.extend([
-                x.to_bits(),
-                lambda_min.to_bits(),
-                lambda_max.to_bits(),
-                *steps as u64,
-            ]);
-            4
-        }
-        Query::SurfaceTile {
-            lambda_min,
-            lambda_max,
-            lambda_steps,
-            n_tr_min,
-            n_tr_max,
-            n_tr_steps,
-        } => {
-            bits.extend([
-                lambda_min.to_bits(),
-                lambda_max.to_bits(),
-                *lambda_steps as u64,
-                n_tr_min.to_bits(),
-                n_tr_max.to_bits(),
-                *n_tr_steps as u64,
-            ]);
-            5
-        }
-        Query::OptimalLambda {
-            spec,
-            lambda_min,
-            lambda_max,
-            steps,
-        } => {
-            name.push_str(&spec.name);
-            spec_bits(spec, &mut bits);
-            bits.extend([lambda_min.to_bits(), lambda_max.to_bits(), *steps as u64]);
-            6
-        }
-        Query::McYield {
-            products,
-            volume_each,
-            replications,
-            jitter,
-            seed,
-        } => {
-            bits.extend([
-                *products as u64,
-                volume_each.to_bits(),
-                *replications as u64,
-                jitter.to_bits(),
-                *seed,
-            ]);
-            7
-        }
-        Query::Roadmap { from, to } => {
-            bits.extend([u64::from(*from), u64::from(*to)]);
-            8
-        }
-        Query::ProductMix {
-            products,
-            volume_each,
-            mono_volume,
-        } => {
-            bits.extend([
-                *products as u64,
-                volume_each.to_bits(),
-                mono_volume.to_bits(),
-            ]);
-            9
-        }
-        Query::ServerStats => 10,
-        Query::ChipletCost {
-            transistors,
-            lambda_um,
-            chiplets,
-            spares,
-            volume,
-        } => {
-            bits.extend([
-                transistors.to_bits(),
-                lambda_um.to_bits(),
-                *chiplets as u64,
-                *spares as u64,
-                *volume,
-            ]);
-            11
-        }
-        Query::ChipletPartitionSweep {
-            transistors,
-            volume,
-            lambda_min,
-            lambda_max,
-            lambda_steps,
-            max_chiplets,
-            max_spares,
-        } => {
-            bits.extend([
-                transistors.to_bits(),
-                *volume,
-                lambda_min.to_bits(),
-                lambda_max.to_bits(),
-                *lambda_steps as u64,
-                *max_chiplets as u64,
-                *max_spares as u64,
-            ]);
-            12
-        }
-    };
-    (tag, name, bits)
-}
-
 impl Plan {
     /// Compiles a batch: dedups bit-identical queries (see
-    /// [`dedup_key`] — finer than the wire format's equivalence, so
+    /// [`Key`] — finer than the wire format's equivalence, so
     /// fan-out can never conflate queries that would serialize
     /// differently) and collects the unique tile nodes, all in
     /// first-occurrence order so execution matches a sequential
@@ -256,7 +79,7 @@ impl Plan {
         let mut slots: Vec<usize> = Vec::with_capacity(queries.len());
         // Lookup-only maps (never iterated): result order comes from
         // the `unique`/`tiles` vectors.
-        let mut slot_of: HashMap<(u8, String, Vec<u64>), usize> = HashMap::new();
+        let mut slot_of: HashMap<Key, usize> = HashMap::new();
         let mut seen_tiles: HashMap<TileKey, ()> = HashMap::new();
         let mut tiles: Vec<TileNode> = Vec::new();
         let mut nodes_requested: u64 = 0;
@@ -265,7 +88,7 @@ impl Plan {
                 Some((l, n)) => (l.2 * n.2) as u64,
                 None => 1,
             };
-            let key = dedup_key(q);
+            let key = q.dedup_key();
             let slot = match slot_of.get(&key) {
                 Some(&u) => u,
                 None => {
@@ -343,6 +166,41 @@ mod tests {
         assert_eq!(plan.tiles[0].lambda_range, (0.5, 1.0, 9));
         assert_eq!(plan.tiles[1].lambda_range, (0.5 + 1e-9, 1.0, 9));
         assert_eq!(plan.tiles[2].lambda_range, (0.625, 1.125, 9));
+    }
+
+    #[test]
+    fn dedup_keys_separate_variants_and_labels() {
+        let product = |name: &str| {
+            Query::Product(crate::query::ProductSpec {
+                name: name.to_string(),
+                transistors: 3.1e6,
+                lambda_um: 0.8,
+                density: 150.0,
+                radius_cm: 7.5,
+                yield0: 0.9,
+                c0: 700.0,
+                x: 1.4,
+            })
+        };
+        let batch = vec![
+            Query::Scenario1Sweep {
+                x: 1.4,
+                lambda_min: 0.3,
+                lambda_max: 1.2,
+                steps: 11,
+            },
+            // Same fields, other variant: a different query.
+            Query::Scenario2Sweep {
+                x: 1.4,
+                lambda_min: 0.3,
+                lambda_max: 1.2,
+                steps: 11,
+            },
+            product("ab"),
+            product("a"),
+            product("ab"),
+        ];
+        assert_eq!(Plan::compile(&batch).slots, vec![0, 1, 2, 3, 2]);
     }
 
     #[test]

@@ -30,6 +30,7 @@ use maly_units::{Centimeters, DesignDensity, Dollars, Microns, Probability, Tran
 use crate::context::{self, EvalContext};
 use crate::error::Error;
 use crate::json::Json;
+use crate::wire::{self, query_table, wire_struct};
 
 /// Most grid steps a single sweep/scan may request — a service bound,
 /// far above anything the paper's figures need (Fig 6/7 use ≤ 481).
@@ -44,26 +45,28 @@ pub const MAX_CHIPLETS: usize = 64;
 /// Most redundant (spare) dies per partition.
 pub const MAX_SPARES: usize = 8;
 
-/// The full input vector of an eq. (1) product evaluation — Table 3's
-/// columns as a value type.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProductSpec {
-    /// Product label (echoed back; defaults to `"query"`).
-    pub name: String,
-    /// Transistor count `N_tr`.
-    pub transistors: f64,
-    /// Feature size λ in µm.
-    pub lambda_um: f64,
-    /// Design density `d_d` in λ²/transistor.
-    pub density: f64,
-    /// Wafer radius in cm.
-    pub radius_cm: f64,
-    /// Reference yield `Y₀` for a 1 cm² die.
-    pub yield0: f64,
-    /// Reference wafer cost `C₀` in dollars.
-    pub c0: f64,
-    /// Cost escalation factor `X`.
-    pub x: f64,
+wire_struct! {
+    /// The full input vector of an eq. (1) product evaluation — Table 3's
+    /// columns as a value type. On the wire its fields sit flat in the
+    /// enclosing query object.
+    pub struct ProductSpec {
+        /// Product label (echoed back; defaults to `"query"`).
+        pub name: String = "query".to_string(),
+        /// Transistor count `N_tr`.
+        pub transistors: f64,
+        /// Feature size λ in µm.
+        pub lambda_um: f64,
+        /// Design density `d_d` in λ²/transistor.
+        pub density: f64,
+        /// Wafer radius in cm.
+        pub radius_cm: f64 = 7.5,
+        /// Reference yield `Y₀` for a 1 cm² die.
+        pub yield0: f64,
+        /// Reference wafer cost `C₀` in dollars.
+        pub c0: f64,
+        /// Cost escalation factor `X`.
+        pub x: f64,
+    }
 }
 
 impl ProductSpec {
@@ -84,168 +87,144 @@ impl ProductSpec {
             .cost_escalation(self.x)?
             .build()?)
     }
-
-    fn to_pairs(&self) -> Vec<(&'static str, Json)> {
-        vec![
-            ("name", Json::Str(self.name.clone())),
-            ("transistors", Json::Num(self.transistors)),
-            ("lambda_um", Json::Num(self.lambda_um)),
-            ("density", Json::Num(self.density)),
-            ("radius_cm", Json::Num(self.radius_cm)),
-            ("yield0", Json::Num(self.yield0)),
-            ("c0", Json::Num(self.c0)),
-            ("x", Json::Num(self.x)),
-        ]
-    }
-
-    fn from_json(v: &Json) -> Result<Self, Error> {
-        Ok(Self {
-            name: v
-                .get("name")
-                .and_then(Json::as_str)
-                .unwrap_or("query")
-                .to_string(),
-            transistors: f64_field(v, "transistors")?,
-            lambda_um: f64_field(v, "lambda_um")?,
-            density: f64_field(v, "density")?,
-            radius_cm: f64_field_or(v, "radius_cm", 7.5)?,
-            yield0: f64_field(v, "yield0")?,
-            c0: f64_field(v, "c0")?,
-            x: f64_field(v, "x")?,
-        })
-    }
 }
 
-/// A typed query — the union of everything the service answers.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Query {
-    /// One eq. (1) product evaluation (a Table 3-style row).
-    Product(ProductSpec),
-    /// One printed Table 3 row by id (1-based, as printed).
-    Table3Row {
-        /// Row id in 1..=17.
-        id: u8,
-    },
-    /// All 17 printed Table 3 rows, paper cost vs model cost.
-    Table3,
-    /// Scenario #1 (eq. 8) λ sweep at escalation `X` — Fig 6.
-    Scenario1Sweep {
-        /// Escalation factor `X`.
-        x: f64,
-        /// Sweep window start (µm).
-        lambda_min: f64,
-        /// Sweep window end (µm).
-        lambda_max: f64,
-        /// Points, ≥ 2.
-        steps: usize,
-    },
-    /// Scenario #2 (eq. 9) λ sweep at escalation `X` — Fig 7.
-    Scenario2Sweep {
-        /// Escalation factor `X`.
-        x: f64,
-        /// Sweep window start (µm).
-        lambda_min: f64,
-        /// Sweep window end (µm).
-        lambda_max: f64,
-        /// Points, ≥ 2.
-        steps: usize,
-    },
-    /// A Fig 8 cost-surface tile on the paper's fab calibration,
-    /// answered from the warm tile cache when possible.
-    SurfaceTile {
-        /// λ window start (µm).
-        lambda_min: f64,
-        /// λ window end (µm).
-        lambda_max: f64,
-        /// λ axis steps, 2..=[`MAX_TILE_STEPS`].
-        lambda_steps: usize,
-        /// `N_tr` window start.
-        n_tr_min: f64,
-        /// `N_tr` window end.
-        n_tr_max: f64,
-        /// `N_tr` axis steps, 2..=[`MAX_TILE_STEPS`].
-        n_tr_steps: usize,
-    },
-    /// The cost-minimizing feature size for a product over a λ window.
-    OptimalLambda {
-        /// The product under study.
-        spec: ProductSpec,
-        /// Window start (µm).
-        lambda_min: f64,
-        /// Window end (µm).
-        lambda_max: f64,
-        /// Candidate nodes, ≥ 2.
-        steps: usize,
-    },
-    /// A Monte Carlo wafer-cost study over a jittered product mix.
-    McYield {
-        /// Number of concurrent products in the fab.
-        products: usize,
-        /// Wafer starts per product per year.
-        volume_each: f64,
-        /// Replications, 1..=[`MAX_REPLICATIONS`].
-        replications: usize,
-        /// Relative volume jitter in `[0, 1)`.
-        jitter: f64,
-        /// Base PRNG seed (deterministic per replication index).
-        seed: u64,
-    },
-    /// The two-scenario calendar roadmap (Figs 6+7 over time).
-    Roadmap {
-        /// First calendar year.
-        from: u32,
-        /// Last calendar year.
-        to: u32,
-    },
-    /// Mono- vs multi-product fab economics (Sec. III).
-    ProductMix {
-        /// Number of concurrent products.
-        products: usize,
-        /// Wafer starts per product per year in the multi-product fab.
-        volume_each: f64,
-        /// Wafer starts per year in the mono-product reference fab.
-        mono_volume: f64,
-    },
-    /// Admin: a snapshot of the process metrics registry (work/diag
-    /// counters, gauges, latency percentiles). Served over the same
-    /// wire protocol so operators can ask "what is p99 right now?"
-    /// without attaching anything.
-    ServerStats,
-    /// One multi-die partition priced end-to-end on the `fig8_mcm`
-    /// calibration: per-chiplet die cost (eq. 1–7), KGD test cost,
-    /// bonding with `Y_asm^(m−1)` assembly yield, NRE over volume.
-    ChipletCost {
-        /// Total system transistor count, split equally over chiplets.
-        transistors: f64,
-        /// Feature size (µm).
-        lambda_um: f64,
-        /// Dies required for a working system, 1..=[`MAX_CHIPLETS`].
-        chiplets: usize,
-        /// Redundant dies mounted, 0..=[`MAX_SPARES`].
-        spares: usize,
-        /// Production volume the NRE amortizes over.
-        volume: u64,
-    },
-    /// The partition search: given `N_tr` total at volume `V`, how many
-    /// chiplets of what size (over a λ window, with up to `max_spares`
-    /// redundant dies) minimize \$/system?
-    ChipletPartitionSweep {
-        /// Total system transistor count.
-        transistors: f64,
-        /// Production volume the NRE amortizes over.
-        volume: u64,
-        /// λ window start (µm).
-        lambda_min: f64,
-        /// λ window end (µm).
-        lambda_max: f64,
-        /// λ grid points, ≥ 2; the full grid (λ × chiplets × spares)
-        /// is bounded by [`MAX_SWEEP_STEPS`].
-        lambda_steps: usize,
-        /// Largest chiplet count probed, 1..=[`MAX_CHIPLETS`].
-        max_chiplets: usize,
-        /// Largest spare count probed, 0..=[`MAX_SPARES`].
-        max_spares: usize,
-    },
+query_table! {
+    /// A typed query — the union of everything the service answers.
+    ///
+    /// This table is the wire schema: each variant's `type` tag and its
+    /// fields in wire order, with the default a field takes when the
+    /// request omits it. The codec and the planner's dedup key are
+    /// generated from it (see `crate::wire`).
+    pub enum Query {
+        /// One eq. (1) product evaluation (a Table 3-style row).
+        "product" => Product(spec: ProductSpec),
+        /// One printed Table 3 row by id (1-based, as printed).
+        "table3_row" => Table3Row {
+            /// Row id in 1..=17.
+            id: u8,
+        },
+        /// All 17 printed Table 3 rows, paper cost vs model cost.
+        "table3" => Table3,
+        /// Scenario #1 (eq. 8) λ sweep at escalation `X` — Fig 6.
+        "scenario1_sweep" => Scenario1Sweep {
+            /// Escalation factor `X`.
+            x: f64,
+            /// Sweep window start (µm).
+            lambda_min: f64 = 0.2,
+            /// Sweep window end (µm).
+            lambda_max: f64 = 1.2,
+            /// Points, ≥ 2.
+            steps: usize = 41,
+        },
+        /// Scenario #2 (eq. 9) λ sweep at escalation `X` — Fig 7.
+        "scenario2_sweep" => Scenario2Sweep {
+            /// Escalation factor `X`.
+            x: f64,
+            /// Sweep window start (µm).
+            lambda_min: f64 = 0.2,
+            /// Sweep window end (µm).
+            lambda_max: f64 = 1.2,
+            /// Points, ≥ 2.
+            steps: usize = 41,
+        },
+        /// A Fig 8 cost-surface tile on the paper's fab calibration,
+        /// answered from the warm tile cache when possible.
+        "surface_tile" => SurfaceTile {
+            /// λ window start (µm).
+            lambda_min: f64,
+            /// λ window end (µm).
+            lambda_max: f64,
+            /// λ axis steps, 2..=[`MAX_TILE_STEPS`].
+            lambda_steps: usize,
+            /// `N_tr` window start.
+            n_tr_min: f64,
+            /// `N_tr` window end.
+            n_tr_max: f64,
+            /// `N_tr` axis steps, 2..=[`MAX_TILE_STEPS`].
+            n_tr_steps: usize,
+        },
+        /// The cost-minimizing feature size for a product over a λ window.
+        "optimal_lambda" => OptimalLambda {
+            /// The product under study.
+            spec: ProductSpec,
+            /// Window start (µm).
+            lambda_min: f64 = 0.3,
+            /// Window end (µm).
+            lambda_max: f64 = 1.2,
+            /// Candidate nodes, ≥ 2.
+            steps: usize = 481,
+        },
+        /// A Monte Carlo wafer-cost study over a jittered product mix.
+        "mc_yield" => McYield {
+            /// Number of concurrent products in the fab.
+            products: usize = 4,
+            /// Wafer starts per product per year.
+            volume_each: f64 = 5_000.0,
+            /// Replications, 1..=[`MAX_REPLICATIONS`].
+            replications: usize = 200,
+            /// Relative volume jitter in `[0, 1)`.
+            jitter: f64 = 0.3,
+            /// Base PRNG seed (deterministic per replication index).
+            seed: u64 = 0,
+        },
+        /// The two-scenario calendar roadmap (Figs 6+7 over time).
+        "roadmap" => Roadmap {
+            /// First calendar year.
+            from: u32 = 1986,
+            /// Last calendar year.
+            to: u32 = 2002,
+        },
+        /// Mono- vs multi-product fab economics (Sec. III).
+        "product_mix" => ProductMix {
+            /// Number of concurrent products.
+            products: usize = 8,
+            /// Wafer starts per product per year in the multi-product fab.
+            volume_each: f64 = 1_000.0,
+            /// Wafer starts per year in the mono-product reference fab.
+            mono_volume: f64 = 100_000.0,
+        },
+        /// Admin: a snapshot of the process metrics registry (work/diag
+        /// counters, gauges, latency percentiles). Served over the same
+        /// wire protocol so operators can ask "what is p99 right now?"
+        /// without attaching anything.
+        "server_stats" => ServerStats,
+        /// One multi-die partition priced end-to-end on the `fig8_mcm`
+        /// calibration: per-chiplet die cost (eq. 1–7), KGD test cost,
+        /// bonding with `Y_asm^(m−1)` assembly yield, NRE over volume.
+        "chiplet_cost" => ChipletCost {
+            /// Total system transistor count, split equally over chiplets.
+            transistors: f64,
+            /// Feature size (µm).
+            lambda_um: f64,
+            /// Dies required for a working system, 1..=[`MAX_CHIPLETS`].
+            chiplets: usize,
+            /// Redundant dies mounted, 0..=[`MAX_SPARES`].
+            spares: usize = 0,
+            /// Production volume the NRE amortizes over.
+            volume: u64 = 100_000,
+        },
+        /// The partition search: given `N_tr` total at volume `V`, how many
+        /// chiplets of what size (over a λ window, with up to `max_spares`
+        /// redundant dies) minimize \$/system?
+        "chiplet_partition_sweep" => ChipletPartitionSweep {
+            /// Total system transistor count.
+            transistors: f64,
+            /// Production volume the NRE amortizes over.
+            volume: u64 = 100_000,
+            /// λ window start (µm).
+            lambda_min: f64 = 0.5,
+            /// λ window end (µm).
+            lambda_max: f64 = 1.2,
+            /// λ grid points, ≥ 2; the full grid (λ × chiplets × spares)
+            /// is bounded by [`MAX_SWEEP_STEPS`].
+            lambda_steps: usize = 15,
+            /// Largest chiplet count probed, 1..=[`MAX_CHIPLETS`].
+            max_chiplets: usize = 8,
+            /// Largest spare count probed, 0..=[`MAX_SPARES`].
+            max_spares: usize = 1,
+        },
+    }
 }
 
 /// A typed response, mirroring [`Query`]'s variants.
@@ -276,38 +255,113 @@ pub enum QueryResponse {
     ChipletSweep(ChipletSweepReport),
 }
 
-/// Eq. (1) outputs for one product.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProductReport {
-    /// Echoed product label.
-    pub name: String,
-    /// Realized die area (cm²).
-    pub die_area_cm2: f64,
-    /// Wafer cost `C_w` ($).
-    pub wafer_cost: f64,
-    /// Dies per wafer `N_ch`.
-    pub dies_per_wafer: u32,
-    /// Die yield `Y` in `[0, 1]`.
-    pub die_yield: f64,
-    /// Expected good dies per wafer.
-    pub good_dies_per_wafer: f64,
-    /// Cost per good die ($).
-    pub cost_per_good_die: f64,
-    /// Cost per transistor (µ$) — the paper's Table 3 unit.
-    pub cost_per_transistor_micro: f64,
-}
+wire_struct! {
+    /// Eq. (1) outputs for one product.
+    pub struct ProductReport {
+        /// Echoed product label.
+        pub name: String,
+        /// Realized die area (cm²).
+        pub die_area_cm2: f64,
+        /// Wafer cost `C_w` ($).
+        pub wafer_cost: f64,
+        /// Dies per wafer `N_ch`.
+        pub dies_per_wafer: u32,
+        /// Die yield `Y` in `[0, 1]`.
+        pub die_yield: f64,
+        /// Expected good dies per wafer.
+        pub good_dies_per_wafer: f64,
+        /// Cost per good die ($).
+        pub cost_per_good_die: f64,
+        /// Cost per transistor (µ$) — the paper's Table 3 unit.
+        pub cost_per_transistor_micro: f64,
+    }
 
-/// One Table 3 comparison row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Table3Report {
-    /// Row id as printed.
-    pub id: u8,
-    /// IC type.
-    pub name: String,
-    /// The printed cost (µ$).
-    pub paper_micro_dollars: f64,
-    /// The model's cost (µ$).
-    pub model_micro_dollars: f64,
+    /// One Table 3 comparison row.
+    pub struct Table3Report {
+        /// Row id as printed.
+        pub id: u8,
+        /// IC type.
+        pub name: String,
+        /// The printed cost (µ$).
+        pub paper_micro_dollars: f64,
+        /// The model's cost (µ$).
+        pub model_micro_dollars: f64,
+    }
+
+    /// An optimal-λ search hit.
+    pub struct OptimalReport {
+        /// The cost-minimizing feature size (µm).
+        pub lambda_um: f64,
+        /// The cost per transistor there ($).
+        pub cost_per_transistor: f64,
+    }
+
+    /// Monte Carlo wafer-cost summary.
+    pub struct McSummary {
+        /// Replications run.
+        pub replications: usize,
+        /// Mean wafer cost ($).
+        pub mean_wafer_cost: f64,
+        /// Cheapest replication ($).
+        pub min_wafer_cost: f64,
+        /// Most expensive replication ($).
+        pub max_wafer_cost: f64,
+        /// Mean tool utilization in `[0, 1]`.
+        pub mean_utilization: f64,
+        /// `max / min` wafer cost.
+        pub cost_spread: f64,
+    }
+
+    /// One roadmap calendar row.
+    pub struct RoadmapRow {
+        /// Calendar year.
+        pub year: f64,
+        /// Projected feature size (µm).
+        pub lambda_um: f64,
+        /// Scenario #1 cost (µ$/transistor).
+        pub optimistic_micro: f64,
+        /// Scenario #2 cost (µ$/transistor).
+        pub realistic_micro: f64,
+    }
+
+    /// Mono- vs multi-product fab comparison.
+    pub struct MixReport {
+        /// Mono-product wafer cost ($).
+        pub mono_cost: f64,
+        /// Multi-product wafer cost ($).
+        pub multi_cost: f64,
+        /// `multi / mono` — the paper quotes "as high as 7".
+        pub cost_ratio: f64,
+        /// Mono-fab productive utilization.
+        pub mono_utilization: f64,
+        /// Multi-fab productive utilization.
+        pub multi_utilization: f64,
+    }
+
+    /// One priced multi-die partition — the wire form of
+    /// [`maly_chiplet::PartitionCost`].
+    pub struct ChipletReport {
+        /// Dies required for a working system.
+        pub chiplets: u32,
+        /// Redundant dies mounted beyond `chiplets`.
+        pub spares: u32,
+        /// Feature size (µm).
+        pub lambda_um: f64,
+        /// Transistors on each die (the equal split).
+        pub transistors_per_chiplet: f64,
+        /// Per-die cost delivered known-good (bare die + KGD test, $).
+        pub known_good_die_cost: f64,
+        /// `Y_asm^(m−1)` over the bonds.
+        pub assembly_yield: f64,
+        /// Assembly yield × P(enough dies escape the residual DL).
+        pub system_yield: f64,
+        /// Package base plus per-joint bonding ($).
+        pub packaging_cost: f64,
+        /// Amortized NRE per system ($).
+        pub nre_per_system: f64,
+        /// Expected cost of one good system ($).
+        pub cost_per_system: f64,
+    }
 }
 
 /// One sweep sample.
@@ -335,86 +389,6 @@ pub struct SurfaceReport {
     pub global_minimum: Option<(f64, f64, f64)>,
 }
 
-/// An optimal-λ search hit.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OptimalReport {
-    /// The cost-minimizing feature size (µm).
-    pub lambda_um: f64,
-    /// The cost per transistor there ($).
-    pub cost_per_transistor: f64,
-}
-
-/// Monte Carlo wafer-cost summary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct McSummary {
-    /// Replications run.
-    pub replications: usize,
-    /// Mean wafer cost ($).
-    pub mean_wafer_cost: f64,
-    /// Cheapest replication ($).
-    pub min_wafer_cost: f64,
-    /// Most expensive replication ($).
-    pub max_wafer_cost: f64,
-    /// Mean tool utilization in `[0, 1]`.
-    pub mean_utilization: f64,
-    /// `max / min` wafer cost.
-    pub cost_spread: f64,
-}
-
-/// One roadmap calendar row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoadmapRow {
-    /// Calendar year.
-    pub year: f64,
-    /// Projected feature size (µm).
-    pub lambda_um: f64,
-    /// Scenario #1 cost (µ$/transistor).
-    pub optimistic_micro: f64,
-    /// Scenario #2 cost (µ$/transistor).
-    pub realistic_micro: f64,
-}
-
-/// Mono- vs multi-product fab comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MixReport {
-    /// Mono-product wafer cost ($).
-    pub mono_cost: f64,
-    /// Multi-product wafer cost ($).
-    pub multi_cost: f64,
-    /// `multi / mono` — the paper quotes "as high as 7".
-    pub cost_ratio: f64,
-    /// Mono-fab productive utilization.
-    pub mono_utilization: f64,
-    /// Multi-fab productive utilization.
-    pub multi_utilization: f64,
-}
-
-/// One priced multi-die partition — the wire form of
-/// [`maly_chiplet::PartitionCost`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChipletReport {
-    /// Dies required for a working system.
-    pub chiplets: u32,
-    /// Redundant dies mounted beyond `chiplets`.
-    pub spares: u32,
-    /// Feature size (µm).
-    pub lambda_um: f64,
-    /// Transistors on each die (the equal split).
-    pub transistors_per_chiplet: f64,
-    /// Per-die cost delivered known-good (bare die + KGD test, $).
-    pub known_good_die_cost: f64,
-    /// `Y_asm^(m−1)` over the bonds.
-    pub assembly_yield: f64,
-    /// Assembly yield × P(enough dies escape the residual DL).
-    pub system_yield: f64,
-    /// Package base plus per-joint bonding ($).
-    pub packaging_cost: f64,
-    /// Amortized NRE per system ($).
-    pub nre_per_system: f64,
-    /// Expected cost of one good system ($).
-    pub cost_per_system: f64,
-}
-
 impl ChipletReport {
     fn from_cost(c: &maly_chiplet::PartitionCost) -> Self {
         Self {
@@ -429,28 +403,6 @@ impl ChipletReport {
             nre_per_system: c.nre_per_system.value(),
             cost_per_system: c.cost_per_system.value(),
         }
-    }
-
-    fn pairs(&self) -> Vec<(&'static str, Json)> {
-        vec![
-            ("chiplets", Json::Num(f64::from(self.chiplets))),
-            ("spares", Json::Num(f64::from(self.spares))),
-            ("lambda_um", Json::Num(self.lambda_um)),
-            (
-                "transistors_per_chiplet",
-                Json::Num(self.transistors_per_chiplet),
-            ),
-            ("known_good_die_cost", Json::Num(self.known_good_die_cost)),
-            ("assembly_yield", Json::Num(self.assembly_yield)),
-            ("system_yield", Json::Num(self.system_yield)),
-            ("packaging_cost", Json::Num(self.packaging_cost)),
-            ("nre_per_system", Json::Num(self.nre_per_system)),
-            ("cost_per_system", Json::Num(self.cost_per_system)),
-        ]
-    }
-
-    fn to_json(&self) -> Json {
-        Json::obj(self.pairs())
     }
 }
 
@@ -549,48 +501,6 @@ impl StatsReport {
     }
 }
 
-// ---------------------------------------------------------------------
-// Field extraction helpers
-// ---------------------------------------------------------------------
-
-fn f64_field(v: &Json, field: &'static str) -> Result<f64, Error> {
-    v.get(field)
-        .ok_or(Error::MissingField { field })?
-        .as_f64()
-        .ok_or(Error::InvalidField {
-            field,
-            message: "expected a number".to_string(),
-        })
-}
-
-fn f64_field_or(v: &Json, field: &'static str, default: f64) -> Result<f64, Error> {
-    match v.get(field) {
-        None => Ok(default),
-        Some(j) => j.as_f64().ok_or(Error::InvalidField {
-            field,
-            message: "expected a number".to_string(),
-        }),
-    }
-}
-
-fn usize_field(v: &Json, field: &'static str) -> Result<usize, Error> {
-    let raw = f64_field(v, field)?;
-    if raw.fract() != 0.0 || !(0.0..=u32::MAX as f64).contains(&raw) {
-        return Err(Error::InvalidField {
-            field,
-            message: format!("expected a non-negative integer, got {raw}"),
-        });
-    }
-    Ok(raw as usize)
-}
-
-fn usize_field_or(v: &Json, field: &'static str, default: usize) -> Result<usize, Error> {
-    match v.get(field) {
-        None => Ok(default),
-        Some(_) => usize_field(v, field),
-    }
-}
-
 fn check_window(
     lambda_min: f64,
     lambda_max: f64,
@@ -656,242 +566,6 @@ fn check_tile(lambda_range: (f64, f64, usize), n_tr_range: (f64, f64, usize)) ->
 }
 
 impl Query {
-    /// Parses a query from its JSON object form (the wire format's
-    /// `query` field).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnsupportedQuery`], [`Error::MissingField`] or
-    /// [`Error::InvalidField`] describing the first problem found.
-    pub fn from_json(v: &Json) -> Result<Self, Error> {
-        let kind = v
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or(Error::MissingField { field: "type" })?;
-        match kind {
-            "product" => Ok(Query::Product(ProductSpec::from_json(v)?)),
-            "table3_row" => {
-                let id = usize_field(v, "id")?;
-                let id = u8::try_from(id).map_err(|_| Error::UnknownTableRow { id: u8::MAX })?;
-                Ok(Query::Table3Row { id })
-            }
-            "table3" => Ok(Query::Table3),
-            "scenario1_sweep" | "scenario2_sweep" => {
-                let x = f64_field(v, "x")?;
-                let lambda_min = f64_field_or(v, "lambda_min", 0.2)?;
-                let lambda_max = f64_field_or(v, "lambda_max", 1.2)?;
-                let steps = usize_field_or(v, "steps", 41)?;
-                if kind == "scenario1_sweep" {
-                    Ok(Query::Scenario1Sweep {
-                        x,
-                        lambda_min,
-                        lambda_max,
-                        steps,
-                    })
-                } else {
-                    Ok(Query::Scenario2Sweep {
-                        x,
-                        lambda_min,
-                        lambda_max,
-                        steps,
-                    })
-                }
-            }
-            "surface_tile" => Ok(Query::SurfaceTile {
-                lambda_min: f64_field(v, "lambda_min")?,
-                lambda_max: f64_field(v, "lambda_max")?,
-                lambda_steps: usize_field(v, "lambda_steps")?,
-                n_tr_min: f64_field(v, "n_tr_min")?,
-                n_tr_max: f64_field(v, "n_tr_max")?,
-                n_tr_steps: usize_field(v, "n_tr_steps")?,
-            }),
-            "optimal_lambda" => Ok(Query::OptimalLambda {
-                spec: ProductSpec::from_json(v)?,
-                lambda_min: f64_field_or(v, "lambda_min", 0.3)?,
-                lambda_max: f64_field_or(v, "lambda_max", 1.2)?,
-                steps: usize_field_or(v, "steps", 481)?,
-            }),
-            "mc_yield" => Ok(Query::McYield {
-                products: usize_field_or(v, "products", 4)?,
-                volume_each: f64_field_or(v, "volume_each", 5_000.0)?,
-                replications: usize_field_or(v, "replications", 200)?,
-                jitter: f64_field_or(v, "jitter", 0.3)?,
-                seed: {
-                    let raw = f64_field_or(v, "seed", 0.0)?;
-                    if raw.fract() != 0.0 || raw < 0.0 {
-                        return Err(Error::InvalidField {
-                            field: "seed",
-                            message: format!("expected a non-negative integer, got {raw}"),
-                        });
-                    }
-                    raw as u64
-                },
-            }),
-            "roadmap" => Ok(Query::Roadmap {
-                from: usize_field_or(v, "from", 1986)? as u32,
-                to: usize_field_or(v, "to", 2002)? as u32,
-            }),
-            "product_mix" => Ok(Query::ProductMix {
-                products: usize_field_or(v, "products", 8)?,
-                volume_each: f64_field_or(v, "volume_each", 1_000.0)?,
-                mono_volume: f64_field_or(v, "mono_volume", 100_000.0)?,
-            }),
-            "server_stats" => Ok(Query::ServerStats),
-            "chiplet_cost" => Ok(Query::ChipletCost {
-                transistors: f64_field(v, "transistors")?,
-                lambda_um: f64_field(v, "lambda_um")?,
-                chiplets: usize_field(v, "chiplets")?,
-                spares: usize_field_or(v, "spares", 0)?,
-                volume: usize_field_or(v, "volume", 100_000)? as u64,
-            }),
-            "chiplet_partition_sweep" => Ok(Query::ChipletPartitionSweep {
-                transistors: f64_field(v, "transistors")?,
-                volume: usize_field_or(v, "volume", 100_000)? as u64,
-                lambda_min: f64_field_or(v, "lambda_min", 0.5)?,
-                lambda_max: f64_field_or(v, "lambda_max", 1.2)?,
-                lambda_steps: usize_field_or(v, "lambda_steps", 15)?,
-                max_chiplets: usize_field_or(v, "max_chiplets", 8)?,
-                max_spares: usize_field_or(v, "max_spares", 1)?,
-            }),
-            other => Err(Error::UnsupportedQuery {
-                found: other.to_string(),
-            }),
-        }
-    }
-
-    /// The JSON object form of this query (inverse of
-    /// [`Query::from_json`]).
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        let tag = |t: &str| ("type", Json::Str(t.to_string()));
-        match self {
-            Query::Product(spec) => {
-                let mut pairs = vec![tag("product")];
-                pairs.extend(spec.to_pairs());
-                Json::obj(pairs)
-            }
-            Query::Table3Row { id } => {
-                Json::obj(vec![tag("table3_row"), ("id", Json::Num(f64::from(*id)))])
-            }
-            Query::Table3 => Json::obj(vec![tag("table3")]),
-            Query::Scenario1Sweep {
-                x,
-                lambda_min,
-                lambda_max,
-                steps,
-            } => Json::obj(vec![
-                tag("scenario1_sweep"),
-                ("x", Json::Num(*x)),
-                ("lambda_min", Json::Num(*lambda_min)),
-                ("lambda_max", Json::Num(*lambda_max)),
-                ("steps", Json::Num(*steps as f64)),
-            ]),
-            Query::Scenario2Sweep {
-                x,
-                lambda_min,
-                lambda_max,
-                steps,
-            } => Json::obj(vec![
-                tag("scenario2_sweep"),
-                ("x", Json::Num(*x)),
-                ("lambda_min", Json::Num(*lambda_min)),
-                ("lambda_max", Json::Num(*lambda_max)),
-                ("steps", Json::Num(*steps as f64)),
-            ]),
-            Query::SurfaceTile {
-                lambda_min,
-                lambda_max,
-                lambda_steps,
-                n_tr_min,
-                n_tr_max,
-                n_tr_steps,
-            } => Json::obj(vec![
-                tag("surface_tile"),
-                ("lambda_min", Json::Num(*lambda_min)),
-                ("lambda_max", Json::Num(*lambda_max)),
-                ("lambda_steps", Json::Num(*lambda_steps as f64)),
-                ("n_tr_min", Json::Num(*n_tr_min)),
-                ("n_tr_max", Json::Num(*n_tr_max)),
-                ("n_tr_steps", Json::Num(*n_tr_steps as f64)),
-            ]),
-            Query::OptimalLambda {
-                spec,
-                lambda_min,
-                lambda_max,
-                steps,
-            } => {
-                let mut pairs = vec![tag("optimal_lambda")];
-                pairs.extend(spec.to_pairs());
-                pairs.push(("lambda_min", Json::Num(*lambda_min)));
-                pairs.push(("lambda_max", Json::Num(*lambda_max)));
-                pairs.push(("steps", Json::Num(*steps as f64)));
-                Json::obj(pairs)
-            }
-            Query::McYield {
-                products,
-                volume_each,
-                replications,
-                jitter,
-                seed,
-            } => Json::obj(vec![
-                tag("mc_yield"),
-                ("products", Json::Num(*products as f64)),
-                ("volume_each", Json::Num(*volume_each)),
-                ("replications", Json::Num(*replications as f64)),
-                ("jitter", Json::Num(*jitter)),
-                ("seed", Json::Num(*seed as f64)),
-            ]),
-            Query::Roadmap { from, to } => Json::obj(vec![
-                tag("roadmap"),
-                ("from", Json::Num(f64::from(*from))),
-                ("to", Json::Num(f64::from(*to))),
-            ]),
-            Query::ProductMix {
-                products,
-                volume_each,
-                mono_volume,
-            } => Json::obj(vec![
-                tag("product_mix"),
-                ("products", Json::Num(*products as f64)),
-                ("volume_each", Json::Num(*volume_each)),
-                ("mono_volume", Json::Num(*mono_volume)),
-            ]),
-            Query::ServerStats => Json::obj(vec![tag("server_stats")]),
-            Query::ChipletCost {
-                transistors,
-                lambda_um,
-                chiplets,
-                spares,
-                volume,
-            } => Json::obj(vec![
-                tag("chiplet_cost"),
-                ("transistors", Json::Num(*transistors)),
-                ("lambda_um", Json::Num(*lambda_um)),
-                ("chiplets", Json::Num(*chiplets as f64)),
-                ("spares", Json::Num(*spares as f64)),
-                ("volume", Json::Num(*volume as f64)),
-            ]),
-            Query::ChipletPartitionSweep {
-                transistors,
-                volume,
-                lambda_min,
-                lambda_max,
-                lambda_steps,
-                max_chiplets,
-                max_spares,
-            } => Json::obj(vec![
-                tag("chiplet_partition_sweep"),
-                ("transistors", Json::Num(*transistors)),
-                ("volume", Json::Num(*volume as f64)),
-                ("lambda_min", Json::Num(*lambda_min)),
-                ("lambda_max", Json::Num(*lambda_max)),
-                ("lambda_steps", Json::Num(*lambda_steps as f64)),
-                ("max_chiplets", Json::Num(*max_chiplets as f64)),
-                ("max_spares", Json::Num(*max_spares as f64)),
-            ]),
-        }
-    }
-
     /// Evaluates against the process-wide context on the ambient
     /// executor (`MALY_PAR_THREADS`).
     ///
@@ -1200,30 +874,24 @@ impl Query {
     /// Evaluates a batch of queries, preserving input order. Each
     /// element fails independently.
     ///
-    /// By default the batch compiles to an evaluation plan first
-    /// ([`crate::plan`]): byte-identical queries are answered once and
-    /// fanned back out, and the cold surface-tile nodes of the whole
-    /// batch fuse into a single deduplicated kernel dispatch. Results
-    /// are bit-identical to [`Query::evaluate_batch_unplanned`] (and to
-    /// per-query [`Query::evaluate_with`]) at every executor width;
-    /// setting `MALY_PLAN=0` falls back to the unplanned path.
+    /// The batch compiles to an evaluation plan first ([`crate::plan`]):
+    /// byte-identical queries are answered once and fanned back out,
+    /// and the cold surface-tile nodes of the whole batch fuse into a
+    /// single deduplicated kernel dispatch. Results are bit-identical to
+    /// [`Query::evaluate_batch_unplanned`] (and to per-query
+    /// [`Query::evaluate_with`]) at every executor width.
     #[must_use]
     pub fn evaluate_batch(
         exec: &Executor,
         ctx: &EvalContext,
         queries: &[Query],
     ) -> Vec<Result<QueryResponse, Error>> {
-        if crate::plan::enabled() {
-            crate::planner::evaluate(exec, ctx, queries)
-        } else {
-            Self::evaluate_batch_unplanned(exec, ctx, queries)
-        }
+        crate::planner::evaluate(exec, ctx, queries)
     }
 
     /// The direct batch path: every query scheduled independently
     /// across the executor, no cross-request dedup or fusion. The
-    /// planner's bit-identity reference, and the `MALY_PLAN=0` service
-    /// path.
+    /// planner's bit-identity reference.
     #[must_use]
     pub fn evaluate_batch_unplanned(
         exec: &Executor,
@@ -1282,65 +950,43 @@ impl QueryResponse {
     /// bytes.
     #[must_use]
     pub fn to_json(&self) -> Json {
+        let pair = |(a, b): (f64, f64)| Json::Arr(vec![Json::Num(a), Json::Num(b)]);
+        let or_null = |v: Option<Json>| v.unwrap_or(Json::Null);
+        let map = |v: &[(String, u64)]| {
+            Json::Obj(
+                v.iter()
+                    .map(|(k, n)| (k.clone(), Json::Num(*n as f64)))
+                    .collect(),
+            )
+        };
+        let kind = |k: &str| ("kind", Json::Str(k.to_string()));
         match self {
-            QueryResponse::Product(r) => Json::obj(vec![
-                ("kind", Json::Str("product".to_string())),
-                ("name", Json::Str(r.name.clone())),
-                ("die_area_cm2", Json::Num(r.die_area_cm2)),
-                ("wafer_cost", Json::Num(r.wafer_cost)),
-                ("dies_per_wafer", Json::Num(f64::from(r.dies_per_wafer))),
-                ("die_yield", Json::Num(r.die_yield)),
-                ("good_dies_per_wafer", Json::Num(r.good_dies_per_wafer)),
-                ("cost_per_good_die", Json::Num(r.cost_per_good_die)),
-                (
-                    "cost_per_transistor_micro",
-                    Json::Num(r.cost_per_transistor_micro),
-                ),
-            ]),
+            QueryResponse::Product(r) => wire::tagged("product", r),
             QueryResponse::Table3(rows) => Json::obj(vec![
-                ("kind", Json::Str("table3".to_string())),
-                (
-                    "rows",
-                    Json::Arr(
-                        rows.iter()
-                            .map(|r| {
-                                Json::obj(vec![
-                                    ("id", Json::Num(f64::from(r.id))),
-                                    ("name", Json::Str(r.name.clone())),
-                                    ("paper_micro_dollars", Json::Num(r.paper_micro_dollars)),
-                                    ("model_micro_dollars", Json::Num(r.model_micro_dollars)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
+                kind("table3"),
+                ("rows", Json::Arr(rows.iter().map(wire::flat).collect())),
             ]),
             QueryResponse::Sweep(points) => Json::obj(vec![
-                ("kind", Json::Str("sweep".to_string())),
+                kind("sweep"),
                 (
                     "points",
                     Json::Arr(
                         points
                             .iter()
-                            .map(|p| {
-                                Json::Arr(vec![
-                                    Json::Num(p.lambda_um),
-                                    Json::Num(p.cost_per_transistor),
-                                ])
-                            })
+                            .map(|p| pair((p.lambda_um, p.cost_per_transistor)))
                             .collect(),
                     ),
                 ),
             ]),
             QueryResponse::Surface(s) => Json::obj(vec![
-                ("kind", Json::Str("surface".to_string())),
+                kind("surface"),
                 (
                     "lambda_axis",
-                    Json::Arr(s.lambda_axis.iter().map(|&v| Json::Num(v)).collect()),
+                    Json::Arr(s.lambda_axis.iter().copied().map(Json::Num).collect()),
                 ),
                 (
                     "n_tr_axis",
-                    Json::Arr(s.n_tr_axis.iter().map(|&v| Json::Num(v)).collect()),
+                    Json::Arr(s.n_tr_axis.iter().copied().map(Json::Num).collect()),
                 ),
                 (
                     "values",
@@ -1348,14 +994,7 @@ impl QueryResponse {
                         s.values
                             .iter()
                             .map(|row| {
-                                Json::Arr(
-                                    row.iter()
-                                        .map(|cell| match cell {
-                                            Some(v) => Json::Num(*v),
-                                            None => Json::Null,
-                                        })
-                                        .collect(),
-                                )
+                                Json::Arr(row.iter().map(|c| or_null(c.map(Json::Num))).collect())
                             })
                             .collect(),
                     ),
@@ -1365,131 +1004,65 @@ impl QueryResponse {
                     Json::Arr(
                         s.optimal_lambda_per_n_tr
                             .iter()
-                            .map(|col| match col {
-                                Some((l, c)) => Json::Arr(vec![Json::Num(*l), Json::Num(*c)]),
-                                None => Json::Null,
-                            })
+                            .map(|c| or_null(c.map(pair)))
                             .collect(),
                     ),
                 ),
                 (
                     "global_minimum",
-                    match s.global_minimum {
-                        Some((l, n, c)) => {
-                            Json::Arr(vec![Json::Num(l), Json::Num(n), Json::Num(c)])
-                        }
-                        None => Json::Null,
-                    },
+                    or_null(s.global_minimum.map(|(l, n, c)| {
+                        Json::Arr(vec![Json::Num(l), Json::Num(n), Json::Num(c)])
+                    })),
                 ),
             ]),
             QueryResponse::OptimalLambda(best) => Json::obj(vec![
-                ("kind", Json::Str("optimal_lambda".to_string())),
-                (
-                    "best",
-                    match best {
-                        Some(r) => Json::obj(vec![
-                            ("lambda_um", Json::Num(r.lambda_um)),
-                            ("cost_per_transistor", Json::Num(r.cost_per_transistor)),
-                        ]),
-                        None => Json::Null,
-                    },
-                ),
+                kind("optimal_lambda"),
+                ("best", or_null(best.as_ref().map(wire::flat))),
             ]),
-            QueryResponse::Mc(m) => Json::obj(vec![
-                ("kind", Json::Str("mc".to_string())),
-                ("replications", Json::Num(m.replications as f64)),
-                ("mean_wafer_cost", Json::Num(m.mean_wafer_cost)),
-                ("min_wafer_cost", Json::Num(m.min_wafer_cost)),
-                ("max_wafer_cost", Json::Num(m.max_wafer_cost)),
-                ("mean_utilization", Json::Num(m.mean_utilization)),
-                ("cost_spread", Json::Num(m.cost_spread)),
-            ]),
+            QueryResponse::Mc(m) => wire::tagged("mc", m),
             QueryResponse::Roadmap(rows) => Json::obj(vec![
-                ("kind", Json::Str("roadmap".to_string())),
-                (
-                    "rows",
-                    Json::Arr(
-                        rows.iter()
-                            .map(|r| {
-                                Json::obj(vec![
-                                    ("year", Json::Num(r.year)),
-                                    ("lambda_um", Json::Num(r.lambda_um)),
-                                    ("optimistic_micro", Json::Num(r.optimistic_micro)),
-                                    ("realistic_micro", Json::Num(r.realistic_micro)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
+                kind("roadmap"),
+                ("rows", Json::Arr(rows.iter().map(wire::flat).collect())),
             ]),
-            QueryResponse::ProductMix(m) => Json::obj(vec![
-                ("kind", Json::Str("product_mix".to_string())),
-                ("mono_cost", Json::Num(m.mono_cost)),
-                ("multi_cost", Json::Num(m.multi_cost)),
-                ("cost_ratio", Json::Num(m.cost_ratio)),
-                ("mono_utilization", Json::Num(m.mono_utilization)),
-                ("multi_utilization", Json::Num(m.multi_utilization)),
-            ]),
-            QueryResponse::Chiplet(r) => {
-                let mut pairs = vec![("kind", Json::Str("chiplet".to_string()))];
-                pairs.extend(r.pairs());
-                Json::obj(pairs)
-            }
+            QueryResponse::ProductMix(m) => wire::tagged("product_mix", m),
+            QueryResponse::Chiplet(r) => wire::tagged("chiplet", r),
             QueryResponse::ChipletSweep(s) => Json::obj(vec![
-                ("kind", Json::Str("chiplet_sweep".to_string())),
+                kind("chiplet_sweep"),
                 ("evaluated", Json::Num(s.evaluated as f64)),
                 ("feasible", Json::Num(s.feasible as f64)),
-                ("best", s.best.to_json()),
+                ("best", wire::flat(&s.best)),
                 (
                     "per_chiplet_count",
-                    Json::Arr(
-                        s.per_chiplet_count
-                            .iter()
-                            .map(ChipletReport::to_json)
-                            .collect(),
-                    ),
+                    Json::Arr(s.per_chiplet_count.iter().map(wire::flat).collect()),
                 ),
             ]),
             QueryResponse::ServerStats(s) => {
-                let counts = |v: &[(String, u64)]| -> Json {
-                    Json::Obj(
-                        v.iter()
-                            .map(|(k, n)| (k.clone(), Json::Num(*n as f64)))
-                            .collect(),
-                    )
-                };
-                let latency = Json::Obj(
-                    s.latency
-                        .iter()
-                        .map(|l| {
-                            (
-                                l.name.clone(),
-                                Json::obj(vec![
-                                    ("count", Json::Num(l.count as f64)),
-                                    ("mean_ns", Json::Num(l.mean_ns)),
-                                    ("p50_ns", Json::Num(l.p50_ns)),
-                                    ("p90_ns", Json::Num(l.p90_ns)),
-                                    ("p99_ns", Json::Num(l.p99_ns)),
-                                    ("p999_ns", Json::Num(l.p999_ns)),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                );
+                let latency = s
+                    .latency
+                    .iter()
+                    .map(|l| {
+                        let summary = Json::obj(vec![
+                            ("count", Json::Num(l.count as f64)),
+                            ("mean_ns", Json::Num(l.mean_ns)),
+                            ("p50_ns", Json::Num(l.p50_ns)),
+                            ("p90_ns", Json::Num(l.p90_ns)),
+                            ("p99_ns", Json::Num(l.p99_ns)),
+                            ("p999_ns", Json::Num(l.p999_ns)),
+                        ]);
+                        (l.name.clone(), summary)
+                    })
+                    .collect();
+                let gauges = s
+                    .gauges
+                    .iter()
+                    .map(|(k, n)| (k.clone(), Json::Num(*n as f64)))
+                    .collect();
                 Json::obj(vec![
-                    ("kind", Json::Str("server_stats".to_string())),
-                    ("work", counts(&s.work)),
-                    ("diag", counts(&s.diag)),
-                    (
-                        "gauges",
-                        Json::Obj(
-                            s.gauges
-                                .iter()
-                                .map(|(k, n)| (k.clone(), Json::Num(*n as f64)))
-                                .collect(),
-                        ),
-                    ),
-                    ("latency", latency),
+                    kind("server_stats"),
+                    ("work", map(&s.work)),
+                    ("diag", map(&s.diag)),
+                    ("gauges", Json::Obj(gauges)),
+                    ("latency", Json::Obj(latency)),
                 ])
             }
         }
@@ -1499,7 +1072,6 @@ impl QueryResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
 
     fn row1_spec() -> ProductSpec {
         ProductSpec {
@@ -1522,97 +1094,6 @@ mod tests {
         };
         assert_eq!(report.dies_per_wafer, 46);
         assert!((report.cost_per_transistor_micro - 9.40).abs() < 0.05);
-    }
-
-    #[test]
-    fn queries_round_trip_through_json() {
-        let queries = vec![
-            Query::Product(row1_spec()),
-            Query::Table3Row { id: 13 },
-            Query::Table3,
-            Query::Scenario1Sweep {
-                x: 1.4,
-                lambda_min: 0.3,
-                lambda_max: 1.2,
-                steps: 11,
-            },
-            Query::Scenario2Sweep {
-                x: 2.4,
-                lambda_min: 0.3,
-                lambda_max: 1.2,
-                steps: 11,
-            },
-            Query::SurfaceTile {
-                lambda_min: 0.4,
-                lambda_max: 1.5,
-                lambda_steps: 8,
-                n_tr_min: 2.0e4,
-                n_tr_max: 4.0e6,
-                n_tr_steps: 6,
-            },
-            Query::OptimalLambda {
-                spec: row1_spec(),
-                lambda_min: 0.3,
-                lambda_max: 1.2,
-                steps: 21,
-            },
-            Query::McYield {
-                products: 2,
-                volume_each: 1_000.0,
-                replications: 10,
-                jitter: 0.3,
-                seed: 7,
-            },
-            Query::Roadmap {
-                from: 1990,
-                to: 1994,
-            },
-            Query::ProductMix {
-                products: 4,
-                volume_each: 1_000.0,
-                mono_volume: 50_000.0,
-            },
-            Query::ServerStats,
-            Query::ChipletCost {
-                transistors: 2.0e6,
-                lambda_um: 0.9,
-                chiplets: 4,
-                spares: 1,
-                volume: 50_000,
-            },
-            Query::ChipletPartitionSweep {
-                transistors: 2.0e6,
-                volume: 50_000,
-                lambda_min: 0.5,
-                lambda_max: 1.2,
-                lambda_steps: 15,
-                max_chiplets: 8,
-                max_spares: 1,
-            },
-        ];
-        for q in queries {
-            let text = q.to_json().write();
-            let back = Query::from_json(&json::parse(&text).unwrap()).unwrap();
-            assert_eq!(q, back, "{text}");
-        }
-    }
-
-    #[test]
-    fn unknown_type_and_missing_fields_are_typed_errors() {
-        let bad = json::parse("{\"type\":\"nonsense\"}").unwrap();
-        let err = Query::from_json(&bad).unwrap_err();
-        assert!(matches!(&err, Error::UnsupportedQuery { found } if found == "nonsense"));
-        assert_eq!(err.kind(), "unsupported-query");
-        let missing = json::parse("{\"type\":\"product\"}").unwrap();
-        assert!(matches!(
-            Query::from_json(&missing),
-            Err(Error::MissingField { .. })
-        ));
-        let no_type = json::parse("{}").unwrap();
-        assert!(matches!(
-            Query::from_json(&no_type),
-            Err(Error::MissingField { field: "type" })
-        ));
     }
 
     #[test]

@@ -55,11 +55,6 @@ fn response_bytes(r: &Result<maly_model::QueryResponse, maly_model::Error>) -> S
 #[test]
 fn fused_batch_saves_over_40_percent_of_eq1_work() {
     let _guard = lock();
-    if !plan::enabled() {
-        // The planner-off CI pass (MALY_PLAN=0) checks the fallback
-        // path elsewhere; the fusion golden needs the planner.
-        return;
-    }
     // Building the process-wide context computes the 56×48 Fig 8
     // report surface; force it now so deltas below see only the batch.
     let _ = maly_model::shared();

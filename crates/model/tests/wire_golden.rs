@@ -337,3 +337,283 @@ fn every_response_variant_serializes_to_its_pinned_bytes() {
         assert_eq!(&r.to_json().write(), expected, "wire bytes for {r:?}");
     }
 }
+
+/// Every `Query` variant's minimal object (required fields only) with
+/// the query it decodes to, in declaration order: this pins every
+/// wire default.
+fn minimal_query_goldens() -> Vec<(&'static str, Query)> {
+    let minimal_spec = ProductSpec {
+        name: "query".to_string(),
+        radius_cm: 7.5,
+        ..spec()
+    };
+    vec![
+        (
+            "{\"type\":\"product\",\"transistors\":3100000,\"lambda_um\":0.8,\"density\":150,\"yield0\":0.9,\"c0\":700,\"x\":1.4}",
+            Query::Product(minimal_spec.clone()),
+        ),
+        (
+            "{\"type\":\"table3_row\",\"id\":13}",
+            Query::Table3Row { id: 13 },
+        ),
+        ("{\"type\":\"table3\"}", Query::Table3),
+        (
+            "{\"type\":\"scenario1_sweep\",\"x\":1.4}",
+            Query::Scenario1Sweep {
+                x: 1.4,
+                lambda_min: 0.2,
+                lambda_max: 1.2,
+                steps: 41,
+            },
+        ),
+        (
+            "{\"type\":\"scenario2_sweep\",\"x\":2.4}",
+            Query::Scenario2Sweep {
+                x: 2.4,
+                lambda_min: 0.2,
+                lambda_max: 1.2,
+                steps: 41,
+            },
+        ),
+        (
+            "{\"type\":\"surface_tile\",\"lambda_min\":0.4,\"lambda_max\":1.5,\"lambda_steps\":8,\"n_tr_min\":20000,\"n_tr_max\":4000000,\"n_tr_steps\":6}",
+            Query::SurfaceTile {
+                lambda_min: 0.4,
+                lambda_max: 1.5,
+                lambda_steps: 8,
+                n_tr_min: 2.0e4,
+                n_tr_max: 4.0e6,
+                n_tr_steps: 6,
+            },
+        ),
+        (
+            "{\"type\":\"optimal_lambda\",\"transistors\":3100000,\"lambda_um\":0.8,\"density\":150,\"yield0\":0.9,\"c0\":700,\"x\":1.4}",
+            Query::OptimalLambda {
+                spec: minimal_spec,
+                lambda_min: 0.3,
+                lambda_max: 1.2,
+                steps: 481,
+            },
+        ),
+        (
+            "{\"type\":\"mc_yield\"}",
+            Query::McYield {
+                products: 4,
+                volume_each: 5_000.0,
+                replications: 200,
+                jitter: 0.3,
+                seed: 0,
+            },
+        ),
+        (
+            "{\"type\":\"roadmap\"}",
+            Query::Roadmap {
+                from: 1986,
+                to: 2002,
+            },
+        ),
+        (
+            "{\"type\":\"product_mix\"}",
+            Query::ProductMix {
+                products: 8,
+                volume_each: 1_000.0,
+                mono_volume: 100_000.0,
+            },
+        ),
+        ("{\"type\":\"server_stats\"}", Query::ServerStats),
+        (
+            "{\"type\":\"chiplet_cost\",\"transistors\":2000000,\"lambda_um\":1,\"chiplets\":4}",
+            Query::ChipletCost {
+                transistors: 2.0e6,
+                lambda_um: 1.0,
+                chiplets: 4,
+                spares: 0,
+                volume: 100_000,
+            },
+        ),
+        (
+            "{\"type\":\"chiplet_partition_sweep\",\"transistors\":2000000}",
+            Query::ChipletPartitionSweep {
+                transistors: 2.0e6,
+                volume: 100_000,
+                lambda_min: 0.5,
+                lambda_max: 1.2,
+                lambda_steps: 15,
+                max_chiplets: 8,
+                max_spares: 1,
+            },
+        ),
+    ]
+}
+
+#[test]
+fn every_minimal_query_decodes_with_its_pinned_defaults() {
+    let goldens = minimal_query_goldens();
+    for (i, (_, q)) in goldens.iter().enumerate() {
+        assert_eq!(query_variant_index(q), i, "goldens out of order at {i}");
+    }
+    assert_eq!(goldens.len(), query_goldens().len(), "one per variant");
+    for (text, expected) in &goldens {
+        let parsed = json::parse(text).expect("golden text parses as JSON");
+        assert_eq!(
+            &Query::from_json(&parsed).expect("minimal object decodes"),
+            expected,
+            "defaults for {text}"
+        );
+    }
+}
+
+#[test]
+fn u64_fields_accept_integers_beyond_u32() {
+    let text = "{\"type\":\"chiplet_cost\",\"transistors\":2000000,\"lambda_um\":1,\"chiplets\":4,\"volume\":5e9}";
+    let q = Query::from_json(&json::parse(text).unwrap()).expect("5e9 is a valid volume");
+    assert!(matches!(
+        q,
+        Query::ChipletCost {
+            volume: 5_000_000_000,
+            ..
+        }
+    ));
+    let text = "{\"type\":\"mc_yield\",\"seed\":9007199254740992}";
+    let q = Query::from_json(&json::parse(text).unwrap()).expect("2^53 is a valid seed");
+    assert!(matches!(
+        q,
+        Query::McYield {
+            seed: 9_007_199_254_740_992,
+            ..
+        }
+    ));
+}
+
+/// Request objects the decoder rejects, each with the exact error
+/// `kind` and message a client sees.
+const DECODE_ERRORS: &[(&str, &str, &str)] = &[
+    ("{}", "missing-field", "missing field `type`"),
+    (
+        "{\"type\":7}",
+        "invalid-field",
+        "invalid field `type`: expected a string",
+    ),
+    (
+        "{\"type\":\"nonsense\"}",
+        "unsupported-query",
+        "unsupported query type `nonsense`",
+    ),
+    (
+        "{\"type\":\"product\",\"lambda_um\":0.8,\"density\":150,\"yield0\":0.9,\"c0\":700,\"x\":1.4}",
+        "missing-field",
+        "missing field `transistors`",
+    ),
+    (
+        "{\"type\":\"product\",\"name\":5,\"transistors\":3100000,\"lambda_um\":0.8,\"density\":150,\"yield0\":0.9,\"c0\":700,\"x\":1.4}",
+        "invalid-field",
+        "invalid field `name`: expected a string",
+    ),
+    (
+        "{\"type\":\"product\",\"transistors\":\"3.1e6\",\"lambda_um\":0.8,\"density\":150,\"yield0\":0.9,\"c0\":700,\"x\":1.4}",
+        "invalid-field",
+        "invalid field `transistors`: expected a number",
+    ),
+    (
+        "{\"type\":\"optimal_lambda\",\"transistors\":3100000,\"lambda_um\":0.8,\"density\":150,\"yield0\":0.9,\"c0\":700,\"x\":1.4,\"steps\":20.5}",
+        "invalid-field",
+        "invalid field `steps`: expected a non-negative integer, got 20.5",
+    ),
+    (
+        "{\"type\":\"table3_row\"}",
+        "missing-field",
+        "missing field `id`",
+    ),
+    (
+        "{\"type\":\"table3_row\",\"id\":2.5}",
+        "invalid-field",
+        "invalid field `id`: expected a non-negative integer, got 2.5",
+    ),
+    (
+        "{\"type\":\"table3_row\",\"id\":300}",
+        "invalid-field",
+        "invalid field `id`: expected an integer in 0..=255, got 300",
+    ),
+    (
+        "{\"type\":\"scenario1_sweep\"}",
+        "missing-field",
+        "missing field `x`",
+    ),
+    (
+        "{\"type\":\"scenario2_sweep\",\"x\":2.4,\"steps\":-3}",
+        "invalid-field",
+        "invalid field `steps`: expected a non-negative integer, got -3",
+    ),
+    (
+        "{\"type\":\"surface_tile\",\"lambda_min\":0.4,\"lambda_max\":1.5,\"lambda_steps\":8.5,\"n_tr_min\":20000,\"n_tr_max\":4000000,\"n_tr_steps\":6}",
+        "invalid-field",
+        "invalid field `lambda_steps`: expected a non-negative integer, got 8.5",
+    ),
+    (
+        "{\"type\":\"surface_tile\",\"lambda_min\":0.4,\"lambda_max\":1.5,\"lambda_steps\":8,\"n_tr_min\":20000,\"n_tr_max\":4000000}",
+        "missing-field",
+        "missing field `n_tr_steps`",
+    ),
+    (
+        "{\"type\":\"mc_yield\",\"seed\":\"7\"}",
+        "invalid-field",
+        "invalid field `seed`: expected a number",
+    ),
+    (
+        "{\"type\":\"mc_yield\",\"seed\":1.5}",
+        "invalid-field",
+        "invalid field `seed`: expected a non-negative integer, got 1.5",
+    ),
+    (
+        "{\"type\":\"mc_yield\",\"seed\":1e17}",
+        "invalid-field",
+        "invalid field `seed`: expected an integer in 0..=9007199254740992, got 100000000000000000",
+    ),
+    (
+        "{\"type\":\"roadmap\",\"from\":1990.5}",
+        "invalid-field",
+        "invalid field `from`: expected a non-negative integer, got 1990.5",
+    ),
+    (
+        "{\"type\":\"roadmap\",\"to\":5e9}",
+        "invalid-field",
+        "invalid field `to`: expected an integer in 0..=4294967295, got 5000000000",
+    ),
+    (
+        "{\"type\":\"product_mix\",\"mono_volume\":null}",
+        "invalid-field",
+        "invalid field `mono_volume`: expected a number",
+    ),
+    (
+        "{\"type\":\"chiplet_cost\",\"transistors\":2000000,\"lambda_um\":1}",
+        "missing-field",
+        "missing field `chiplets`",
+    ),
+    (
+        "{\"type\":\"chiplet_cost\",\"transistors\":2000000,\"lambda_um\":1,\"chiplets\":4,\"volume\":1e17}",
+        "invalid-field",
+        "invalid field `volume`: expected an integer in 0..=9007199254740992, got 100000000000000000",
+    ),
+    (
+        "{\"type\":\"chiplet_partition_sweep\",\"transistors\":2000000,\"max_chiplets\":true}",
+        "invalid-field",
+        "invalid field `max_chiplets`: expected a number",
+    ),
+];
+
+#[test]
+fn decode_errors_carry_their_pinned_kind_and_message() {
+    // Collect every mismatch so one run names all of them.
+    let mut mismatches = Vec::new();
+    for (text, kind, message) in DECODE_ERRORS {
+        let parsed = json::parse(text).expect("error case parses as JSON");
+        let got = match Query::from_json(&parsed) {
+            Ok(q) => format!("decoded to {q:?}"),
+            Err(err) => format!("{}: {err}", err.kind()),
+        };
+        if got != format!("{kind}: {message}") {
+            mismatches.push(format!("{text}\n  got  {got}\n  want {kind}: {message}"));
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}

@@ -105,13 +105,6 @@ pub fn report() -> ExperimentReport {
 /// `plan.*` counter deltas.
 fn fused_batch_demo() -> String {
     use maly_model::{plan, EvalContext, Query};
-    if !plan::enabled() {
-        return format!(
-            "Batched tile queries: planner disabled ({}=0), \
-             batch evaluated per-query.",
-            plan::PLAN_ENV_VAR
-        );
-    }
     let batch: Vec<Query> = [0.5, 0.625, 0.75, 0.875]
         .iter()
         .map(|&lo| Query::SurfaceTile {

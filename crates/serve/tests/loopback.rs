@@ -391,13 +391,11 @@ fn duplicate_batch_queries_answer_per_id_without_reevaluation() {
         5,
         "every answered query stays on the ledger, deduped or not"
     );
-    if maly_model::plan::enabled() {
-        assert_eq!(
-            maly_model::plan::DEDUPED_QUERIES.value() - deduped0,
-            3,
-            "two tile repeats and one product repeat fan out"
-        );
-    }
+    assert_eq!(
+        maly_model::plan::DEDUPED_QUERIES.value() - deduped0,
+        3,
+        "two tile repeats and one product repeat fan out"
+    );
     // One response line carrying all five ids, duplicates byte-equal.
     let batch = json::parse(&got[0]).expect("protocol JSON");
     let Json::Arr(elems) = &batch else {
