@@ -119,9 +119,8 @@ const INTEGRAL_EXPONENT: u32 = 1023 + 52;
 /// bit, for every input (±0, NaN and the infinities included).
 ///
 /// On baseline x86-64 `f64::round` is an out-of-line call into the
-/// software libm, paid per element by the exp kernel and per memo key
-/// by eq. (4); hot kernels must round through this inline version
-/// instead. It adds ±(0.5 − 2^−54) and truncates by clearing the
+/// software libm, paid per element by the exp kernel; hot kernels must
+/// round through this inline version instead. It adds ±(0.5 − 2^−54) and truncates by clearing the
 /// fraction bits: with a full ±0.5 the sum 0.49999999999999994 + 0.5
 /// would round up to 1. Truncating with a float-to-int cast instead
 /// needs a saturation fix-up, and a data-dependent ±1 step can become a

@@ -38,7 +38,7 @@ use std::time::Instant;
 use maly_model::json::Json;
 use maly_model::query::ProductSpec;
 use maly_model::{Error, Query};
-use maly_obs::{HistResolution, HistogramSnapshot};
+use maly_obs::{Histogram, HistogramSnapshot, HIST_BUCKETS};
 use maly_par::Executor;
 use maly_serve::client;
 use maly_serve::config::ServeConfig;
@@ -533,20 +533,18 @@ fn window_query(window: &(f64, f64, usize, f64, f64, usize)) -> Query {
     }
 }
 
-/// Buckets raw samples with the registry's exact quarter-octave
-/// semantics, so percentiles here and in the server's exported
-/// histograms interpolate identically.
+/// Buckets raw samples with the registry's exact bucket semantics, so
+/// percentiles here and in the server's exported histograms
+/// interpolate identically.
 fn detached_snapshot(name: &'static str, samples: &[u64]) -> HistogramSnapshot {
-    let resolution = HistResolution::HighRes;
-    let mut buckets = vec![0u64; resolution.bucket_count()];
+    let mut buckets = vec![0u64; HIST_BUCKETS];
     let mut total_ns = 0u64;
     for &ns in samples {
-        buckets[resolution.index_for(ns)] += 1;
+        buckets[Histogram::index_for(ns)] += 1;
         total_ns = total_ns.saturating_add(ns);
     }
     HistogramSnapshot {
         name,
-        resolution,
         count: samples.len() as u64,
         total_ns,
         buckets,

@@ -42,10 +42,10 @@ pub static TILE_HITS: maly_obs::Counter = maly_obs::Counter::diag("model.tile_hi
 /// Surface-tile cache misses (diagnostic).
 pub static TILE_MISSES: maly_obs::Counter = maly_obs::Counter::diag("model.tile_misses");
 /// Per-query evaluation latency, attached to the `model.query` span.
-pub static EVAL_NS: maly_obs::Histogram = maly_obs::Histogram::high_resolution("model.eval_ns");
+pub static EVAL_NS: maly_obs::Histogram = maly_obs::Histogram::new("model.eval_ns");
 /// Batch planning latency (compile + fused prefetch + scatter),
 /// attached to the `model.plan` span.
-pub static PLAN_NS: maly_obs::Histogram = maly_obs::Histogram::high_resolution("model.plan_ns");
+pub static PLAN_NS: maly_obs::Histogram = maly_obs::Histogram::new("model.plan_ns");
 
 /// Every artifact derived once and shared by the experiments.
 #[derive(Debug)]

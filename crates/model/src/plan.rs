@@ -77,10 +77,9 @@ impl Plan {
     pub(crate) fn compile(queries: &[Query]) -> Self {
         let mut unique: Vec<Query> = Vec::new();
         let mut slots: Vec<usize> = Vec::with_capacity(queries.len());
-        // Lookup-only maps (never iterated): result order comes from
+        // Lookup-only map (never iterated): result order comes from
         // the `unique`/`tiles` vectors.
         let mut slot_of: HashMap<Key, usize> = HashMap::new();
-        let mut seen_tiles: HashMap<TileKey, ()> = HashMap::new();
         let mut tiles: Vec<TileNode> = Vec::new();
         let mut nodes_requested: u64 = 0;
         for q in queries {
@@ -94,15 +93,15 @@ impl Plan {
                 None => {
                     let u = unique.len();
                     slot_of.insert(key, u);
+                    // A surface tile's dedup key carries the bits of the
+                    // same six fields as its `TileKey`, so a query that is
+                    // new here is always a new tile node.
                     if let Some((lambda_range, n_tr_range)) = q.tile_request() {
-                        let key = TileKey::new(lambda_range, n_tr_range);
-                        if seen_tiles.insert(key, ()).is_none() {
-                            tiles.push(TileNode {
-                                key,
-                                lambda_range,
-                                n_tr_range,
-                            });
-                        }
+                        tiles.push(TileNode {
+                            key: TileKey::new(lambda_range, n_tr_range),
+                            lambda_range,
+                            n_tr_range,
+                        });
                     }
                     unique.push(q.clone());
                     u

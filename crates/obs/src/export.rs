@@ -77,9 +77,8 @@ pub fn export_ndjson() -> String {
     for h in histograms_snapshot() {
         let _ = write!(
             out,
-            "{{\"type\":\"hist\",\"name\":\"{}\",\"resolution\":\"{}\",\"count\":{},\"total_ns\":{},\"buckets\":[",
+            "{{\"type\":\"hist\",\"name\":\"{}\",\"resolution\":\"hires\",\"count\":{},\"total_ns\":{},\"buckets\":[",
             escape(h.name),
-            h.resolution.as_str(),
             h.count,
             h.total_ns
         );
@@ -126,7 +125,7 @@ mod tests {
 
     static EXPORT_COUNTER: Counter = Counter::work("test.export.counter");
     static EXPORT_GAUGE: Gauge = Gauge::new("test.export.gauge");
-    static EXPORT_HIRES: Histogram = Histogram::high_resolution("test.export.hires_ns");
+    static EXPORT_HIST: Histogram = Histogram::new("test.export.hist_ns");
 
     #[test]
     fn export_lines_are_well_formed() {
@@ -140,7 +139,7 @@ mod tests {
         EXPORT_GAUGE.reset();
         EXPORT_GAUGE.add(2);
         EXPORT_GAUGE.decr();
-        EXPORT_HIRES.record_ns(500);
+        EXPORT_HIST.record_ns(500);
         let text = export_ndjson();
         crate::set_enabled(false);
         assert!(!text.is_empty());
@@ -161,7 +160,7 @@ mod tests {
         assert!(text.contains("\"name\":\"test.export.counter\""));
         assert!(text.contains("\"kind\":\"work\""));
         assert!(text.contains("{\"type\":\"gauge\",\"name\":\"test.export.gauge\",\"value\":1}"));
-        assert!(text.contains("\"name\":\"test.export.hires_ns\",\"resolution\":\"hires\""));
+        assert!(text.contains("\"name\":\"test.export.hist_ns\",\"resolution\":\"hires\""));
     }
 
     #[test]

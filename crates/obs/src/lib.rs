@@ -15,11 +15,11 @@
 //!   process-wide registry for snapshotting.
 //! * [`Gauge`] — sharded signed level gauges (queue depths, in-flight
 //!   requests); always diagnostic, never golden-compared.
-//! * [`Histogram`] — fixed-bucket log-scale duration histograms, at
-//!   log₂ ([`Histogram::new`]) or quarter-octave resolution
-//!   ([`Histogram::high_resolution`], for sub-millisecond request
-//!   timing); [`HistogramSnapshot::percentile_ns`] interpolates
-//!   p50/p90/p99/p999 latencies from the buckets.
+//! * [`Histogram`] — fixed-bucket log-scale duration histograms with
+//!   four linear sub-buckets per octave, fine enough for
+//!   sub-millisecond request timing;
+//!   [`HistogramSnapshot::percentile_ns`] interpolates p50/p90/p99/p999
+//!   latencies from the buckets.
 //! * [`export_ndjson`] / [`write_trace`] — an ndjson exporter (one JSON
 //!   object per line: spans in completion order, then counters, gauges,
 //!   and histograms, each sorted by name).
@@ -74,8 +74,8 @@ mod span;
 pub use export::{export_ndjson, write_trace, write_trace_if_requested};
 pub use metrics::{
     counters_snapshot, gauges_snapshot, histograms_snapshot, reset_metrics, Counter, CounterKind,
-    CounterSnapshot, Gauge, GaugeSnapshot, HistResolution, Histogram, HistogramSnapshot,
-    LatencyPercentiles, HIRES_HIST_BUCKETS, HIST_BUCKETS,
+    CounterSnapshot, Gauge, GaugeSnapshot, Histogram, HistogramSnapshot, LatencyPercentiles,
+    HIST_BUCKETS,
 };
 pub use span::{
     current_span, finished_spans, reset_spans, span, span_child, SpanGuard, SpanRecord,

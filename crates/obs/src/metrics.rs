@@ -17,22 +17,17 @@ use std::sync::{Mutex, PoisonError};
 /// executor actually uses without inflating the static footprint.
 const COUNTER_SHARDS: usize = 8;
 
-/// Buckets per log₂ histogram: bucket `i` (for `i ≥ 1`) counts
-/// durations `d` with `2^(i-1) ≤ d < 2^i` nanoseconds (bucket 0 holds
-/// `d = 0`), so 40 buckets span sub-nanosecond to ~9 minutes.
-pub const HIST_BUCKETS: usize = 40;
+/// Buckets per histogram: four linear sub-buckets per power-of-two
+/// octave, so the top bucket starts at 2^40 ns (~18 min) while the
+/// worst-case relative bucket width stays ≤ 25 % — fine enough to
+/// interpolate sub-millisecond request percentiles.
+pub const HIST_BUCKETS: usize = 160;
 
-/// Buckets per high-resolution histogram: four linear sub-buckets per
-/// power-of-two octave, so the top bucket starts at 2^40 ns (~18 min)
-/// while the worst-case relative bucket width stays ≤ 25 % — fine
-/// enough to interpolate sub-millisecond request percentiles.
-pub const HIRES_HIST_BUCKETS: usize = 160;
+/// log₂(sub-buckets per octave).
+const SUB_BITS: u32 = 2;
 
-/// log₂(sub-buckets per octave) for [`HistResolution::HighRes`].
-const HIRES_SUB_BITS: u32 = 2;
-
-/// Sub-bucket mask for [`HistResolution::HighRes`].
-const HIRES_SUB_MASK: u64 = (1 << HIRES_SUB_BITS) - 1;
+/// Sub-bucket mask.
+const SUB_MASK: u64 = (1 << SUB_BITS) - 1;
 
 /// A cache-line-padded atomic cell, so shards owned by different
 /// threads never false-share.
@@ -233,36 +228,29 @@ impl Gauge {
     }
 }
 
-/// How a [`Histogram`] maps a duration to a bucket.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HistResolution {
-    /// One bucket per power-of-two octave ([`HIST_BUCKETS`] buckets).
-    /// Cheap and compact; bucket widths double, so an interpolated
-    /// percentile carries up to a 2× relative error. Right for coarse
-    /// kernel/chunk timings.
-    Log2,
-    /// Four linear sub-buckets per octave ([`HIRES_HIST_BUCKETS`]
-    /// buckets). Worst-case relative bucket width is 25 %, tight enough
-    /// for sub-millisecond request-latency percentiles.
-    HighRes,
+/// A fixed-bucket log-scale duration histogram. Declare as a `static`;
+/// recording is gated by the span layer on [`crate::enabled`], so a
+/// disabled run never touches the buckets. Each power-of-two octave
+/// splits into four linear sub-buckets ([`HIST_BUCKETS`] in all), so
+/// the worst-case relative bucket width is 25 %.
+pub struct Histogram {
+    name: &'static str,
+    registered: AtomicBool,
+    count: AtomicU64,
+    total_ns: AtomicU64,
+    buckets: [AtomicU64; HIST_BUCKETS],
 }
 
-impl HistResolution {
-    /// Number of buckets a histogram at this resolution uses.
+impl Histogram {
+    /// A histogram with the given registry name.
     #[must_use]
-    pub const fn bucket_count(self) -> usize {
-        match self {
-            HistResolution::Log2 => HIST_BUCKETS,
-            HistResolution::HighRes => HIRES_HIST_BUCKETS,
-        }
-    }
-
-    /// The resolution's ndjson tag.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            HistResolution::Log2 => "log2",
-            HistResolution::HighRes => "hires",
+    pub const fn new(name: &'static str) -> Self {
+        Self {
+            name,
+            registered: AtomicBool::new(false),
+            count: AtomicU64::new(0),
+            total_ns: AtomicU64::new(0),
+            buckets: [const { AtomicU64::new(0) }; HIST_BUCKETS],
         }
     }
 
@@ -271,24 +259,18 @@ impl HistResolution {
     /// can bucket self-measured durations into detached
     /// [`HistogramSnapshot`]s with the exact registry semantics.
     #[must_use]
-    pub fn index_for(self, ns: u64) -> usize {
-        let idx = match self {
-            HistResolution::Log2 => usize::try_from(64 - ns.leading_zeros()).unwrap_or(0),
-            HistResolution::HighRes => {
-                if ns < (1 << HIRES_SUB_BITS) {
-                    // The first four buckets hold exact values 0..=3.
-                    usize::try_from(ns).unwrap_or(0)
-                } else {
-                    // HDR-style: the top bits select the octave, the
-                    // next HIRES_SUB_BITS bits the linear sub-bucket.
-                    let octave = 63 - ns.leading_zeros();
-                    let sub = (ns >> (octave - HIRES_SUB_BITS)) & HIRES_SUB_MASK;
-                    let base = (octave - 1) << HIRES_SUB_BITS;
-                    usize::try_from(u64::from(base) + sub).unwrap_or(0)
-                }
-            }
+    pub fn index_for(ns: u64) -> usize {
+        let idx = if ns < (1 << SUB_BITS) {
+            // The first four buckets hold exact values 0..=3.
+            ns
+        } else {
+            // HDR-style: the top bits select the octave, the next
+            // SUB_BITS bits the linear sub-bucket.
+            let octave = 63 - ns.leading_zeros();
+            let sub = (ns >> (octave - SUB_BITS)) & SUB_MASK;
+            (u64::from(octave - 1) << SUB_BITS) + sub
         };
-        idx.min(self.bucket_count() - 1)
+        (idx as usize).min(HIST_BUCKETS - 1)
     }
 
     /// Inclusive lower and exclusive upper bound (in ns) of a bucket.
@@ -296,67 +278,16 @@ impl HistResolution {
     /// bound understates extreme outliers; percentile interpolation
     /// stays finite because of it.
     #[must_use]
-    pub fn bucket_bounds(self, idx: usize) -> (u64, u64) {
-        match self {
-            HistResolution::Log2 => {
-                if idx == 0 {
-                    (0, 1)
-                } else {
-                    (1u64 << (idx - 1), 1u64 << idx)
-                }
-            }
-            HistResolution::HighRes => {
-                let sub_buckets = 1usize << HIRES_SUB_BITS;
-                if idx < sub_buckets {
-                    (idx as u64, idx as u64 + 1)
-                } else {
-                    let octave = (idx >> HIRES_SUB_BITS) as u32 + 1;
-                    let sub = (idx & (sub_buckets - 1)) as u64;
-                    let width = 1u64 << (octave - HIRES_SUB_BITS);
-                    let lo = (1u64 << octave) + sub * width;
-                    (lo, lo + width)
-                }
-            }
-        }
-    }
-}
-
-/// A fixed-bucket log-scale duration histogram. Declare as a `static`;
-/// recording is gated by the span layer on [`crate::enabled`], so a
-/// disabled run never touches the buckets. [`Histogram::new`] buckets
-/// one octave per bucket; [`Histogram::high_resolution`] splits each
-/// octave into four linear sub-buckets for request-latency percentiles.
-pub struct Histogram {
-    name: &'static str,
-    resolution: HistResolution,
-    registered: AtomicBool,
-    count: AtomicU64,
-    total_ns: AtomicU64,
-    buckets: [AtomicU64; HIRES_HIST_BUCKETS],
-}
-
-impl Histogram {
-    /// A log₂ histogram with the given registry name.
-    #[must_use]
-    pub const fn new(name: &'static str) -> Self {
-        Self::with_resolution(name, HistResolution::Log2)
-    }
-
-    /// A quarter-octave histogram for sub-millisecond request timing
-    /// (see [`HistResolution::HighRes`]).
-    #[must_use]
-    pub const fn high_resolution(name: &'static str) -> Self {
-        Self::with_resolution(name, HistResolution::HighRes)
-    }
-
-    const fn with_resolution(name: &'static str, resolution: HistResolution) -> Self {
-        Self {
-            name,
-            resolution,
-            registered: AtomicBool::new(false),
-            count: AtomicU64::new(0),
-            total_ns: AtomicU64::new(0),
-            buckets: [const { AtomicU64::new(0) }; HIRES_HIST_BUCKETS],
+    pub fn bucket_bounds(idx: usize) -> (u64, u64) {
+        let sub_buckets = 1usize << SUB_BITS;
+        if idx < sub_buckets {
+            (idx as u64, idx as u64 + 1)
+        } else {
+            let octave = (idx >> SUB_BITS) as u32 + 1;
+            let sub = (idx & (sub_buckets - 1)) as u64;
+            let width = 1u64 << (octave - SUB_BITS);
+            let lo = (1u64 << octave) + sub * width;
+            (lo, lo + width)
         }
     }
 
@@ -366,18 +297,12 @@ impl Histogram {
         self.name
     }
 
-    /// The histogram's bucket resolution.
-    #[must_use]
-    pub fn resolution(&self) -> HistResolution {
-        self.resolution
-    }
-
     /// Records a duration in nanoseconds.
     pub fn record_ns(&'static self, ns: u64) {
         if !self.registered.load(Ordering::Relaxed) {
             register_histogram(self);
         }
-        let idx = self.resolution.index_for(ns);
+        let idx = Self::index_for(ns);
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.total_ns.fetch_add(ns, Ordering::Relaxed);
@@ -405,13 +330,13 @@ impl Histogram {
     }
 
     fn snapshot(&'static self) -> HistogramSnapshot {
-        let buckets = self.buckets[..self.resolution.bucket_count()]
+        let buckets = self
+            .buckets
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
             .collect();
         HistogramSnapshot {
             name: self.name,
-            resolution: self.resolution,
             count: self.count(),
             total_ns: self.total_ns(),
             buckets,
@@ -458,14 +383,12 @@ pub struct LatencyPercentiles {
 pub struct HistogramSnapshot {
     /// Registry name (dotted, e.g. `par.chunk_ns`).
     pub name: &'static str,
-    /// Bucket resolution; determines `buckets.len()` and bounds.
-    pub resolution: HistResolution,
     /// Number of recorded durations.
     pub count: u64,
     /// Sum of recorded durations in nanoseconds.
     pub total_ns: u64,
     /// Per-bucket counts; bounds per bucket come from
-    /// [`HistResolution::bucket_bounds`].
+    /// [`Histogram::bucket_bounds`].
     pub buckets: Vec<u64>,
 }
 
@@ -491,7 +414,7 @@ impl HistogramSnapshot {
             }
             let next = cum + n;
             if next as f64 >= target {
-                let (lo, hi) = self.resolution.bucket_bounds(idx);
+                let (lo, hi) = Histogram::bucket_bounds(idx);
                 let frac = ((target - cum as f64) / n as f64).clamp(0.0, 1.0);
                 return lo as f64 + frac * (hi - lo) as f64;
             }
@@ -501,9 +424,7 @@ impl HistogramSnapshot {
         // snapshots (count raced ahead of a bucket) with the top
         // occupied bucket's upper bound.
         let top = self.buckets.iter().rposition(|&n| n > 0).unwrap_or(0);
-        {
-            self.resolution.bucket_bounds(top).1 as f64
-        }
+        Histogram::bucket_bounds(top).1 as f64
     }
 
     /// The p50/p90/p99/p999 set (see [`Self::percentile_ns`]).
@@ -658,7 +579,6 @@ mod tests {
     static TEST_DIAG: Counter = Counter::diag("test.metrics.diag");
     static TEST_HIST: Histogram = Histogram::new("test.metrics.hist");
     static TEST_GAUGE: Gauge = Gauge::new("test.metrics.gauge");
-    static TEST_HIRES: Histogram = Histogram::high_resolution("test.metrics.hires");
 
     #[test]
     fn counter_totals_and_registration() {
@@ -730,59 +650,35 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_are_log2() {
+    fn buckets_split_octaves_linearly() {
         let _guard = crate::test_lock::hold();
         TEST_HIST.reset();
-        TEST_HIST.record_ns(0); // bucket 0
-        TEST_HIST.record_ns(1); // bucket 1 (bit length 1)
-        TEST_HIST.record_ns(1024); // bucket 11
+        // Exact small values.
+        TEST_HIST.record_ns(0);
+        TEST_HIST.record_ns(3);
+        // One octave, four sub-buckets: [8,10) [10,12) [12,14) [14,16).
+        TEST_HIST.record_ns(8);
+        TEST_HIST.record_ns(9);
+        TEST_HIST.record_ns(10);
+        TEST_HIST.record_ns(15);
         TEST_HIST.record_ns(u64::MAX); // clamped to the last bucket
-        assert_eq!(TEST_HIST.count(), 4);
         let snap = histograms_snapshot();
         let mine = snap
             .iter()
             .find(|s| s.name == "test.metrics.hist")
             .expect("registered on first record");
-        assert_eq!(mine.resolution, HistResolution::Log2);
         assert_eq!(mine.buckets.len(), HIST_BUCKETS);
-        assert_eq!(mine.buckets[0], 1);
-        assert_eq!(mine.buckets[1], 1);
-        assert_eq!(mine.buckets[11], 1);
-        assert_eq!(mine.buckets[HIST_BUCKETS - 1], 1);
-        assert_eq!(mine.count, 4);
-    }
-
-    #[test]
-    fn hires_buckets_split_octaves_linearly() {
-        let _guard = crate::test_lock::hold();
-        TEST_HIRES.reset();
-        // Exact small values.
-        TEST_HIRES.record_ns(0);
-        TEST_HIRES.record_ns(3);
-        // One octave, four sub-buckets: [8,10) [10,12) [12,14) [14,16).
-        TEST_HIRES.record_ns(8);
-        TEST_HIRES.record_ns(9);
-        TEST_HIRES.record_ns(10);
-        TEST_HIRES.record_ns(15);
-        TEST_HIRES.record_ns(u64::MAX); // clamped to the last bucket
-        let snap = histograms_snapshot();
-        let mine = snap
-            .iter()
-            .find(|s| s.name == "test.metrics.hires")
-            .expect("registered on first record");
-        assert_eq!(mine.resolution, HistResolution::HighRes);
-        assert_eq!(mine.buckets.len(), HIRES_HIST_BUCKETS);
         assert_eq!(mine.buckets[0], 1);
         assert_eq!(mine.buckets[3], 1);
         assert_eq!(mine.buckets[8], 2); // 8 and 9 share [8,10)
         assert_eq!(mine.buckets[9], 1); // 10 in [10,12)
         assert_eq!(mine.buckets[11], 1); // 15 in [14,16)
-        assert_eq!(mine.buckets[HIRES_HIST_BUCKETS - 1], 1);
+        assert_eq!(mine.buckets[HIST_BUCKETS - 1], 1);
         assert_eq!(mine.count, 7);
         // Bounds tile the number line without gaps.
-        for idx in 0..HIRES_HIST_BUCKETS - 1 {
-            let (_, hi) = HistResolution::HighRes.bucket_bounds(idx);
-            let (next_lo, _) = HistResolution::HighRes.bucket_bounds(idx + 1);
+        for idx in 0..HIST_BUCKETS - 1 {
+            let (_, hi) = Histogram::bucket_bounds(idx);
+            let (next_lo, _) = Histogram::bucket_bounds(idx + 1);
             assert_eq!(hi, next_lo, "gap after bucket {idx}");
         }
     }
@@ -805,16 +701,15 @@ mod tests {
 
     /// Builds a detached snapshot for percentile tests without touching
     /// the global registry.
-    fn snap_with(resolution: HistResolution, samples: &[u64]) -> HistogramSnapshot {
-        let mut buckets = vec![0u64; resolution.bucket_count()];
+    fn snap_with(samples: &[u64]) -> HistogramSnapshot {
+        let mut buckets = vec![0u64; HIST_BUCKETS];
         let mut total = 0u64;
         for &s in samples {
-            buckets[resolution.index_for(s)] += 1;
+            buckets[Histogram::index_for(s)] += 1;
             total = total.saturating_add(s);
         }
         HistogramSnapshot {
             name: "test.metrics.percentiles",
-            resolution,
             count: samples.len() as u64,
             total_ns: total,
             buckets,
@@ -823,7 +718,7 @@ mod tests {
 
     #[test]
     fn percentiles_of_empty_histogram_are_zero() {
-        let snap = snap_with(HistResolution::HighRes, &[]);
+        let snap = snap_with(&[]);
         let p = snap.latency_percentiles();
         assert_eq!(p.p50_ns, 0.0);
         assert_eq!(p.p999_ns, 0.0);
@@ -832,12 +727,10 @@ mod tests {
 
     #[test]
     fn percentiles_of_single_bucket_mass_interpolate_within_it() {
-        // 100 samples, all exactly 1000 ns → hires bucket [896, 1024)
+        // 100 samples, all exactly 1000 ns → bucket [896, 1024)
         // (octave [512, 1024), quarter-width 128, fourth sub-bucket).
-        let snap = snap_with(HistResolution::HighRes, &[1000; 100]);
-        let (lo, hi) = snap
-            .resolution
-            .bucket_bounds(snap.resolution.index_for(1000));
+        let snap = snap_with(&[1000; 100]);
+        let (lo, hi) = Histogram::bucket_bounds(Histogram::index_for(1000));
         assert_eq!((lo, hi), (896, 1024));
         let p = snap.latency_percentiles();
         for v in [p.p50_ns, p.p90_ns, p.p99_ns, p.p999_ns] {
@@ -849,8 +742,8 @@ mod tests {
 
     #[test]
     fn percentiles_of_saturated_top_bucket_stay_finite() {
-        let snap = snap_with(HistResolution::Log2, &[u64::MAX; 10]);
-        let (lo, hi) = HistResolution::Log2.bucket_bounds(HIST_BUCKETS - 1);
+        let snap = snap_with(&[u64::MAX; 10]);
+        let (lo, hi) = Histogram::bucket_bounds(HIST_BUCKETS - 1);
         let p = snap.latency_percentiles();
         for v in [p.p50_ns, p.p99_ns, p.p999_ns] {
             assert!(v.is_finite());
@@ -860,15 +753,15 @@ mod tests {
 
     #[test]
     fn percentiles_of_exact_boundary_samples() {
-        // 1024 sits exactly on a log2 bucket boundary → bucket 11,
-        // range [1024, 2048).
-        let snap = snap_with(HistResolution::Log2, &[1024; 4]);
+        // 1024 sits exactly on an octave boundary → the octave's first
+        // quarter, range [1024, 1280).
+        let snap = snap_with(&[1024; 4]);
         let p50 = snap.percentile_ns(0.5);
-        assert!((1024.0..2048.0).contains(&p50), "{p50}");
+        assert!((1024.0..1280.0).contains(&p50), "{p50}");
         // q=0 lands on the bucket's lower bound exactly.
         assert_eq!(snap.percentile_ns(0.0), 1024.0);
         // q=1 lands on the bucket's upper bound exactly.
-        assert_eq!(snap.percentile_ns(1.0), 2048.0);
+        assert_eq!(snap.percentile_ns(1.0), 1280.0);
     }
 
     #[test]
@@ -877,14 +770,10 @@ mod tests {
         // the fast bucket, p99 in the slow one.
         let mut samples = vec![100u64; 90];
         samples.extend_from_slice(&[1_000_000; 10]);
-        let snap = snap_with(HistResolution::HighRes, &samples);
+        let snap = snap_with(&samples);
         let p = snap.latency_percentiles();
-        let (fast_lo, fast_hi) = snap
-            .resolution
-            .bucket_bounds(snap.resolution.index_for(100));
-        let (slow_lo, slow_hi) = snap
-            .resolution
-            .bucket_bounds(snap.resolution.index_for(1_000_000));
+        let (fast_lo, fast_hi) = Histogram::bucket_bounds(Histogram::index_for(100));
+        let (slow_lo, slow_hi) = Histogram::bucket_bounds(Histogram::index_for(1_000_000));
         assert!(p.p50_ns >= fast_lo as f64 && p.p50_ns < fast_hi as f64);
         assert!(p.p99_ns >= slow_lo as f64 && p.p99_ns < slow_hi as f64);
         assert!(p.p50_ns < p.p90_ns || p.p90_ns < p.p99_ns);

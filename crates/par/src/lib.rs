@@ -9,19 +9,16 @@
 //!
 //! * [`Executor`] — a scoped-thread pool-of-the-moment with chunked
 //!   work distribution ([`Executor::map`], [`Executor::map_indexed`],
-//!   [`Executor::grid`], [`Executor::map_reduce`]);
-//! * [`par_map`], [`par_grid`], [`par_fold`] — free-function shorthands
-//!   using the environment-configured executor.
+//!   [`Executor::grid`]).
 //!
 //! # Determinism contract
 //!
 //! Results are **bit-identical** to the serial path at every thread
-//! count: work items are pure functions of their index, outputs are
-//! collected in index order, and reductions fold sequentially over that
-//! order. The only thing threads change is wall-clock time. The
-//! workspace's golden tests (`cost-optim/tests/determinism.rs`) enforce
-//! this for the Fig 8 surface, contour extraction, and the partition
-//! search.
+//! count: work items are pure functions of their index and outputs are
+//! collected in index order. The only thing threads change is wall-clock
+//! time. The workspace's golden tests (`cost-optim/tests/determinism.rs`)
+//! enforce this for the Fig 8 surface, contour extraction, and the
+//! partition search.
 //!
 //! # Configuration
 //!
@@ -66,16 +63,6 @@
 //! let exec = Executor::with_threads(4);
 //! let squares = exec.map_indexed(8, |i| i * i);
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-//!
-//! // Ordered reduce: fold runs sequentially over index order, so the
-//! // result matches the serial loop exactly (first minimum wins).
-//! let min = exec.map_reduce(8, |i| (7 - i) % 4, None, |best: Option<usize>, v| {
-//!     match best {
-//!         Some(b) if b <= v => Some(b),
-//!         _ => Some(v),
-//!     }
-//! });
-//! assert_eq!(min, Some(0));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -328,50 +315,6 @@ impl Executor {
             f(0);
         });
     }
-
-    /// Ordered reduce: maps `0..n` in parallel, then folds the results
-    /// *sequentially in index order*. Because the fold order matches the
-    /// serial loop, `fold` with a strict `<` keeps the earliest minimum —
-    /// exactly the serial tie-break.
-    pub fn map_reduce<T, A, F, G>(&self, n: usize, map: F, init: A, mut fold: G) -> A
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-        G: FnMut(A, T) -> A,
-    {
-        self.map_indexed(n, map)
-            .into_iter()
-            .fold(init, |acc, v| fold(acc, v))
-    }
-}
-
-/// [`Executor::map`] on the environment-configured executor.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    Executor::from_env().map(items, f)
-}
-
-/// [`Executor::grid`] on the environment-configured executor.
-pub fn par_grid<R, F>(rows: usize, cols: usize, f: F) -> Vec<Vec<R>>
-where
-    R: Send,
-    F: Fn(usize, usize) -> R + Sync,
-{
-    Executor::from_env().grid(rows, cols, f)
-}
-
-/// [`Executor::map_reduce`] on the environment-configured executor.
-pub fn par_fold<T, A, F, G>(n: usize, map: F, init: A, fold: G) -> A
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    G: FnMut(A, T) -> A,
-{
-    Executor::from_env().map_reduce(n, map, init, fold)
 }
 
 #[cfg(test)]
@@ -423,27 +366,6 @@ mod tests {
         let empty_rows = exec.grid(3, 0, |_, _| 0);
         assert_eq!(empty_rows.len(), 3);
         assert!(empty_rows.iter().all(Vec::is_empty));
-    }
-
-    #[test]
-    fn map_reduce_keeps_the_earliest_minimum() {
-        // Values with duplicates: index 2 and 5 both hold the minimum 1;
-        // a serial strict-< scan keeps index 2. The ordered reduce must
-        // agree at every thread count.
-        let values = [4usize, 3, 1, 3, 2, 1, 4];
-        for threads in [1, 2, 8] {
-            let exec = Executor::with_threads(threads);
-            let best = exec.map_reduce(
-                values.len(),
-                |i| (i, values[i]),
-                None,
-                |best: Option<(usize, usize)>, (i, v)| match best {
-                    Some((_, bv)) if bv <= v => best,
-                    _ => Some((i, v)),
-                },
-            );
-            assert_eq!(best, Some((2, 1)), "threads = {threads}");
-        }
     }
 
     #[test]
@@ -575,15 +497,5 @@ mod tests {
             .collect();
         assert_eq!(ids[0], caller, "worker 0 runs on the caller");
         assert!(ids[1..].iter().all(|id| *id != caller));
-    }
-
-    #[test]
-    fn free_functions_match_methods() {
-        let items = [1.0f64, 2.0, 3.0];
-        assert_eq!(par_map(&items, |v| v * 2.0), vec![2.0, 4.0, 6.0]);
-        let g = par_grid(2, 2, |r, c| r * 10 + c);
-        assert_eq!(g, vec![vec![0, 1], vec![10, 11]]);
-        let sum = par_fold(5, |i| i, 0usize, |a, v| a + v);
-        assert_eq!(sum, 10);
     }
 }

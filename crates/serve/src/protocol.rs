@@ -44,15 +44,13 @@ pub static BATCHED_QUERIES: maly_obs::Counter = maly_obs::Counter::work("serve.b
 
 /// End-to-end request latency (parse through serialized response),
 /// attached to the `serve.request` span.
-pub static REQUEST_NS: maly_obs::Histogram =
-    maly_obs::Histogram::high_resolution("serve.request_ns");
+pub static REQUEST_NS: maly_obs::Histogram = maly_obs::Histogram::new("serve.request_ns");
 /// Request-line JSON parse latency (`serve.parse` span).
-pub static PARSE_NS: maly_obs::Histogram = maly_obs::Histogram::high_resolution("serve.parse_ns");
+pub static PARSE_NS: maly_obs::Histogram = maly_obs::Histogram::new("serve.parse_ns");
 /// Evaluation latency for the line's queries (`serve.evaluate` span).
-pub static EVALUATE_NS: maly_obs::Histogram =
-    maly_obs::Histogram::high_resolution("serve.evaluate_ns");
+pub static EVALUATE_NS: maly_obs::Histogram = maly_obs::Histogram::new("serve.evaluate_ns");
 /// Response serialization latency (`serve.write` span).
-pub static WRITE_NS: maly_obs::Histogram = maly_obs::Histogram::high_resolution("serve.write_ns");
+pub static WRITE_NS: maly_obs::Histogram = maly_obs::Histogram::new("serve.write_ns");
 
 /// The response object for one evaluated request.
 #[must_use]

@@ -413,6 +413,51 @@ fn duplicate_batch_queries_answer_per_id_without_reevaluation() {
     join.join().expect("server thread exits cleanly");
 }
 
+/// Adjacent transistor counts on either side of an eq. (4) die-count
+/// step, sent low, high, low, high over one socket: each keeps its own
+/// count, and each repeat answers the bytes of its first answer.
+#[test]
+fn adjacent_products_over_one_socket_keep_their_own_die_counts() {
+    let (handle, join) = start(ServeConfig::default().workers(2));
+    let addr = handle.addr().to_string();
+    let line = |id: f64, transistors: f64| {
+        let query = Query::Product(maly_model::query::ProductSpec {
+            name: "edge".to_string(),
+            transistors,
+            lambda_um: 0.8,
+            density: 150.0,
+            radius_cm: 7.5,
+            yield0: 0.7,
+            c0: 700.0,
+            x: 1.8,
+        });
+        request_line(id, &query)
+    };
+    let (lo, hi) = (3_039_475.183_951_57, 3_039_475.183_951_570_7);
+    let lines = [line(1.0, lo), line(2.0, hi), line(3.0, lo), line(4.0, hi)];
+    let got = client::query_lines(&addr, &lines).expect("loopback round trip");
+    let payloads: Vec<Json> = got
+        .iter()
+        .map(|l| {
+            let response = json::parse(l).expect("protocol JSON");
+            response.get("ok").expect("ok payload").clone()
+        })
+        .collect();
+    let dies: Vec<f64> = payloads
+        .iter()
+        .map(|p| {
+            p.get("dies_per_wafer")
+                .and_then(Json::as_f64)
+                .expect("dies")
+        })
+        .collect();
+    assert_eq!(dies, [48.0, 47.0, 48.0, 47.0]);
+    assert_eq!(payloads[0].write(), payloads[2].write());
+    assert_eq!(payloads[1].write(), payloads[3].write());
+    handle.shutdown();
+    join.join().expect("server thread exits cleanly");
+}
+
 #[test]
 fn request_work_counters_track_lines_and_batches() {
     let _guard = lock();

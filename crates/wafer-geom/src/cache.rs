@@ -9,14 +9,15 @@
 //!
 //! [`dies_per_wafer`] is a drop-in memoized front for
 //! [`crate::maly::dies_per_wafer`]. The cache key is the *only* input
-//! the formula reads — the usable radius and the two die edges — each
-//! quantized to an integer number of **nanocentimeters** (1e-9 cm,
-//! i.e. 10 femtometers). The quantum sits ten orders of magnitude below
-//! any physical die dimension in the model, so distinct designs never
-//! collide, while dimensionally identical requests reuse the stored
-//! count. Because every caller routes through the same cache, parallel
-//! and serial sweeps observe identical values (see DESIGN.md,
-//! "Parallel execution & determinism").
+//! the formula reads — the usable radius and the two die edges — as
+//! their exact `f64::to_bits`, the same discipline as the surface-tile
+//! cache. Eq. (4) is a `floor` staircase, so two edges one ulp apart
+//! can pack a different number of dies; any coarser key would let the
+//! first of them answer for the second, and an answer would depend on
+//! earlier traffic. With exact keys a hit is only ever the count the
+//! kernel computes for these very inputs, so parallel and serial sweeps
+//! observe identical values (see DESIGN.md, "Parallel execution &
+//! determinism").
 //!
 //! The cache is process-global (`OnceLock`), sharded to keep lock
 //! contention negligible under the parallel executor, and safe across
@@ -36,9 +37,6 @@ use maly_units::DieCount;
 
 use crate::{maly, DieDimensions, Wafer};
 
-/// Quantization step of the cache key, in centimeters.
-pub const KEY_QUANTUM_CM: f64 = 1.0e-9;
-
 /// Calls answered from the memo. Diagnostic kind: concurrent sweeps can
 /// race two misses on the same key that a serial run would split
 /// hit/miss, so the totals are not thread-count-invariant.
@@ -51,15 +49,15 @@ const SHARDS: usize = 16;
 
 /// Entries one shard holds before a store clears it. The largest
 /// working set a committed bench repeats is the dense 112×96 Fig 8
-/// surface, 10,752 dies, whose fullest shard holds 701 of them, so a
+/// surface, 10,752 dies, whose fullest shard holds 724 of them, so a
 /// repeated sweep of that size stays all hits.
 const SHARD_CAPACITY: usize = 1024;
 
 /// Most entries the memo ever holds (16,384).
 pub const MAX_ENTRIES: usize = SHARDS * SHARD_CAPACITY;
 
-/// One memo key: `(usable radius, die width, die height)` in integer
-/// multiples of [`KEY_QUANTUM_CM`].
+/// One memo key: the bits of `(usable radius, die width, die height)`
+/// in centimeters.
 type Key = (u64, u64, u64);
 
 /// Multiply-rotate hasher for the fixed-shape integer key. The default
@@ -123,26 +121,13 @@ fn insert_bounded(map: &mut KeyMap, key: Key, value: u32) {
     map.insert(key, value);
 }
 
-/// Reciprocal of [`KEY_QUANTUM_CM`]: quantization multiplies by this
-/// instead of dividing by the quantum — the division was a measurable
-/// slice of the warm-hit budget, and key identity only needs the same
-/// mapping on every call, not any particular rounding of it.
-const KEY_QUANTUM_INV: f64 = 1.0e9;
-
-/// Quantizes a positive dimension to integer nanocentimeters, rounding
-/// through the inline [`maly_lanes::round_s`] (bit-identical to
-/// `f64::round`). Float-to-int casts saturate, so pathological inputs
-/// stay safe.
-fn quantize(value_cm: f64) -> u64 {
-    maly_lanes::round_s(value_cm * KEY_QUANTUM_INV) as u64
-}
-
-/// The memo key of `die` on a wafer whose quantized radius is `r_key`.
+/// The memo key of `die` on a wafer whose usable radius has bits
+/// `r_key`.
 fn key_of(r_key: u64, die: &DieDimensions) -> Key {
     (
         r_key,
-        quantize(die.width().value()),
-        quantize(die.height().value()),
+        die.width().value().to_bits(),
+        die.height().value().to_bits(),
     )
 }
 
@@ -160,7 +145,7 @@ fn shard_of(key: &Key) -> usize {
 /// direct call.
 #[must_use]
 pub fn dies_per_wafer(wafer: &Wafer, die: DieDimensions) -> DieCount {
-    let key = key_of(quantize(wafer.usable_radius().value()), &die);
+    let key = key_of(wafer.usable_radius().value().to_bits(), &die);
     let shard = &shards()[shard_of(&key)];
     if let Some(&count) = read(shard).get(&key) {
         CACHE_HITS.incr();
@@ -192,7 +177,7 @@ struct Miss {
 /// to calling [`dies_per_wafer`] per element.
 #[must_use]
 pub fn dies_per_wafer_batch(wafer: &Wafer, dies: &[DieDimensions]) -> Vec<DieCount> {
-    let r_key = quantize(wafer.usable_radius().value());
+    let r_key = wafer.usable_radius().value().to_bits();
     // Miss slots hold a zero placeholder until the miss pass patches
     // them; a flat Vec<DieCount> keeps the warm path free of Option
     // repacking.
@@ -351,7 +336,6 @@ mod tests {
 
     #[test]
     fn nearby_but_distinct_dimensions_do_not_alias() {
-        // 1 µm apart (1e-4 cm) is 100 000 quanta apart: distinct keys.
         let wafer = Wafer::six_inch();
         let a = DieDimensions::square(Centimeters::new(1.0).unwrap());
         let b = DieDimensions::square(Centimeters::new(1.0001).unwrap());

@@ -13,7 +13,8 @@
 //! * [`approx`] — classical closed-form estimates (gross area ratio and the
 //!   edge-corrected variant) useful for sanity bounds and quick sizing,
 //! * [`cache`] — a process-global memo in front of eq. (4), keyed on
-//!   quantized wafer/die dimensions; the sweep engines route through it.
+//!   the exact bits of the wafer/die dimensions; the sweep engines route
+//!   through it.
 //!
 //! # Examples
 //!

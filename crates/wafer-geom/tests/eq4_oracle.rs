@@ -170,10 +170,55 @@ fn quotients_landing_exactly_on_integers_match_the_oracle() {
     assert_eq!(2.0 * (r_w * r_w - d * d).sqrt() / 1.0, 9.0);
 }
 
+/// Bisects the die width on the bits of positive floats, which order
+/// like the values, until `lo` and `hi` are adjacent floats on either
+/// side of a step of eq. (4)'s `floor` staircase.
+fn step_edge(wafer: &Wafer, b: f64, mut lo: f64, mut hi: f64) -> (f64, f64) {
+    let count = |a: f64| oracle(wafer, &die(a, b));
+    assert_ne!(count(lo), count(hi), "no step in [{lo}, {hi}]");
+    while hi.to_bits() - lo.to_bits() > 1 {
+        let mid = f64::from_bits(lo.to_bits() + (hi.to_bits() - lo.to_bits()) / 2);
+        if count(mid) == count(lo) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    (lo, hi)
+}
+
+/// Two widths one ulp apart that pack a different number of dies must
+/// each keep their own count, whichever of them reaches the memo
+/// first, through the scalar and the batch front.
+#[test]
+fn adjacent_floats_across_a_count_step_keep_their_own_counts() {
+    let wafer = Wafer::six_inch();
+    let b = 0.7;
+    let (lo, hi) = step_edge(&wafer, b, 0.5, 0.5004);
+    assert_eq!(hi.to_bits(), lo.to_bits() + 1);
+    assert_eq!((lo, hi), (0.500_368_473_026_677_3, 0.500_368_473_026_677_4));
+    assert_eq!(
+        (oracle(&wafer, &die(lo, b)), oracle(&wafer, &die(hi, b))),
+        (463, 462)
+    );
+    for order in [[lo, hi], [hi, lo]] {
+        cache::clear();
+        for a in order.iter().chain(&order) {
+            let got = cache::dies_per_wafer(&wafer, die(*a, b)).value();
+            assert_eq!(got, oracle(&wafer, &die(*a, b)), "scalar, a = {a:?}");
+        }
+        cache::clear();
+        for a in order.iter().chain(&order) {
+            let got = cache::dies_per_wafer_batch(&wafer, &[die(*a, b)])[0].value();
+            assert_eq!(got, oracle(&wafer, &die(*a, b)), "batch, a = {a:?}");
+        }
+    }
+}
+
 #[test]
 fn overflowing_the_memo_keeps_it_bounded_and_exact() {
     let wafer = Wafer::six_inch();
-    // Distinct keys: widths 1e-6 cm (1,000 key quanta) apart.
+    // Distinct keys: widths 1e-6 cm apart.
     let dies: Vec<DieDimensions> = (0..cache::MAX_ENTRIES + 4_000)
         .map(|i| die(0.5 + 1e-6 * i as f64, 0.7))
         .collect();

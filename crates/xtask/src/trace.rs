@@ -282,10 +282,10 @@ pub fn check_trace(text: &str) -> Result<TraceSummary, String> {
                         "line {n}: hist record needs `name`, numeric `count`, and `buckets`"
                     ));
                 }
-                // The resolution tag is optional (pre-gauge traces omit
-                // it) but must be a known value when present.
+                // Every histogram is quarter-octave, tagged `hires`.
+                // Pre-gauge traces omit the tag and still validate.
                 if let Some(res) = str_field(line, "resolution") {
-                    if !matches!(res, "log2" | "hires") {
+                    if res != "hires" {
                         return Err(format!(
                             "line {n}: hist record has unknown resolution `{res}`"
                         ));
@@ -354,7 +354,7 @@ mod tests {
         "{\"type\":\"counter\",\"kind\":\"diag\",\"name\":\"serve.refused\",\"value\":0}\n",
         "{\"type\":\"gauge\",\"name\":\"serve.inflight\",\"value\":0}\n",
         "{\"type\":\"gauge\",\"name\":\"serve.queue_depth\",\"value\":-1}\n",
-        "{\"type\":\"hist\",\"name\":\"par.chunk_ns\",\"resolution\":\"log2\",\"count\":1,",
+        "{\"type\":\"hist\",\"name\":\"par.chunk_ns\",\"resolution\":\"hires\",\"count\":1,",
         "\"total_ns\":180,\"buckets\":[0,0,1]}\n",
         "{\"type\":\"hist\",\"name\":\"serve.request_ns\",\"resolution\":\"hires\",\"count\":2,",
         "\"total_ns\":2400,\"buckets\":[0,0,2]}\n",
@@ -454,16 +454,19 @@ mod tests {
         assert_eq!(summary.hists, 1);
     }
 
+    /// Every histogram is quarter-octave; a `log2` tag names the
+    /// octave-per-bucket layout, whose bucket bounds no longer exist.
     #[test]
     fn unknown_hist_resolution_fails() {
-        let bad = format!(
-            "{GOOD}{}",
-            "{\"type\":\"hist\",\"name\":\"z.last_ns\",\"resolution\":\"base10\",\
-             \"count\":1,\"total_ns\":1,\"buckets\":[1]}\n"
-        );
-        assert!(check_trace(&bad)
-            .expect_err("fails")
-            .contains("unknown resolution `base10`"));
+        for res in ["base10", "log2"] {
+            let bad = format!(
+                "{GOOD}{{\"type\":\"hist\",\"name\":\"z.last_ns\",\"resolution\":\"{res}\",\
+                 \"count\":1,\"total_ns\":1,\"buckets\":[1]}}\n"
+            );
+            assert!(check_trace(&bad)
+                .expect_err("fails")
+                .contains(&format!("unknown resolution `{res}`")));
+        }
     }
 
     #[test]
